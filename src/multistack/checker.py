@@ -15,12 +15,18 @@ rejections structural (no search needed): pops sharing an id that do not
 pairwise overlap, a popped id nobody pushed, or two pushes claiming one
 id.
 
-The search walks precedence-minimal classes depth first, replaying the
-model state as it goes and memoizing (remaining classes, model state)
-pairs that are known dead.  Accepted verdicts carry the witness ordering,
-which is independently re-verified before being returned; histories with
-more complete operations than the size cap come back undecided rather
-than silently truncated.
+Precedence comes from three integers per class, its first invocation,
+last invocation and first response: class k precedes class i exactly when
+first_res[k] < last_inv[i].  A class's members overlap pairwise, so a
+remaining class is ready exactly when its last_inv is below the earliest
+first_res among the remaining classes (just-in-time linearization; Wing &
+Gong 1993, Lowe 2017).  The search tries ready classes in order of first
+invocation, depth first on an explicit stack, replaying the model state
+and memoizing (remaining classes, model state) pairs known to be dead.
+Accepted verdicts carry the witness ordering, which is independently
+re-verified before being returned; histories with more complete
+operations than the size cap come back undecided rather than silently
+truncated.
 """
 
 from __future__ import annotations
@@ -162,36 +168,14 @@ def _overlap(a: OperationRecord, b: OperationRecord) -> bool:
     return not (a.responded_at < b.invoked_at or b.responded_at < a.invoked_at)
 
 
-def lifted_precedence(
-    records: Sequence[OperationRecord], classes: Sequence[ConcurrencyClass]
-) -> set[tuple[int, int]]:
-    """(i, j) pairs such that class i must be ordered before class j:
-    some member of i responded before some member of j was invoked."""
-    by_id = {r.op_id: r for r in records}
-    pairs: set[tuple[int, int]] = set()
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if i == j:
-                continue
-            if any(
-                by_id[a].responded_at < by_id[b].invoked_at
-                for a in ci.op_ids
-                for b in cj.op_ids
-            ):
-                pairs.add((i, j))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # Search
 # ---------------------------------------------------------------------------
 
 
 def _search(
-    classes: Sequence[ConcurrencyClass],
-    precedence: set[tuple[int, int]],
-    inv_seq_of: dict[int, int],
-) -> tuple[Optional[list[int]], str]:
+    classes: Sequence[ConcurrencyClass], records: Sequence[OperationRecord]
+) -> tuple[Optional[tuple[ConcurrencyClass, ...]], str]:
     """Depth-first search for a precedence-respecting replayable order.
 
     Returns (order, "") on success or (None, refutation) on exhaustion.
@@ -199,51 +183,72 @@ def _search(
     memoized so shared suffixes are refuted once.
     """
     n = len(classes)
-    pred_mask = [0] * n
-    for i, j in precedence:
-        pred_mask[j] |= 1 << i
+    if n == 0:
+        return (), ""
+    by_id = {r.op_id: r for r in records}
+    spans = []
+    for cls in classes:
+        invoked = [by_id[op].invoked_at for op in cls.op_ids]
+        responded = min(by_id[op].responded_at for op in cls.op_ids)
+        # The ready window needs this; grouping only builds overlapping classes.
+        assert max(invoked) < responded, f"class {cls.op_ids} is not concurrent"
+        spans.append((min(invoked), max(invoked), responded, cls))
     # Deterministic witnesses: try ready classes by earliest member invocation.
-    try_order = sorted(range(n), key=lambda i: min(inv_seq_of[op] for op in classes[i].op_ids))
-
-    dead: set[tuple[int, tuple[int, ...]]] = set()
+    spans.sort(key=lambda span: span[0])
+    first_inv, last_inv, first_res, ordered = zip(*spans)
+    placed = [False] * n  # the complement of remaining, for O(1) lookups
+    remaining = (1 << n) - 1
     prefix: list[int] = []
-    best_depth = -1
-    best_blocks: list[str] = []
+    dead: set[tuple[int, tuple[int, ...]]] = set()
+    best_depth, best_blocks = -1, []
 
-    def recurse(remaining: int, state) -> bool:
-        nonlocal best_depth, best_blocks
-        if remaining == 0:
-            return True
-        key = (remaining, tuple(e.push_id for e in state))
-        if key in dead:
-            return False
-        blocks: list[str] = []
-        for i in try_order:
-            bit = 1 << i
-            if not remaining & bit or pred_mask[i] & remaining:
-                continue
+    def open_frame(state) -> tuple:
+        # The bound is the earliest first response among the remaining
+        # classes; no class invoked after it can lower it or be ready.
+        lo = (remaining & -remaining).bit_length() - 1  # first unplaced class
+        window, bound = [], first_res[lo]
+        for p in range(lo, n):
+            if first_inv[p] > bound:
+                break
+            if not placed[p]:
+                window.append(p)
+                bound = min(bound, first_res[p])
+        return state, iter([p for p in window if last_inv[p] <= bound]), []
+
+    # One frame per placed class and the root: (model state, ready classes
+    # not yet tried, transitions refused).
+    frames = [open_frame(())]
+    while frames:
+        state, candidates, blocks = frames[-1]
+        for p in candidates:
             try:
-                next_state, _ = apply_class(state, classes[i])
+                next_state, _ = apply_class(state, ordered[p])
             except TransitionError as exc:
                 blocks.append(str(exc))
                 continue
-            prefix.append(i)
-            if recurse(remaining & ~bit, next_state):
-                return True
-            prefix.pop()
-        if len(prefix) > best_depth:
-            best_depth = len(prefix)
-            best_blocks = blocks or ["no class is ready under the precedence order"]
-        dead.add(key)
-        return False
+            after = remaining ^ 1 << p
+            if not after:
+                return tuple(ordered[q] for q in prefix + [p]), ""
+            if not dead or (after, tuple(e.push_id for e in next_state)) not in dead:
+                placed[p] = True
+                remaining = after
+                prefix.append(p)
+                frames.append(open_frame(next_state))
+                break
+        else:
+            if len(prefix) > best_depth:
+                best_depth, best_blocks = len(prefix), blocks
+            dead.add((remaining, tuple(e.push_id for e in state)))
+            frames.pop()
+            if prefix:
+                p = prefix.pop()
+                placed[p] = False
+                remaining ^= 1 << p
 
-    if recurse((1 << n) - 1, ()):
-        return list(prefix), ""
-    placed = best_depth
-    detail = "; ".join(best_blocks[:3])
+    detail = "; ".join(best_blocks[:3]) or "no class is ready under the precedence order"
     return None, (
         f"no precedence-respecting order of the {n} classes replays as a stack "
-        f"(best attempt placed {placed} of {n}; then: {detail})"
+        f"(best attempt placed {best_depth} of {n}; then: {detail})"
     )
 
 
@@ -258,14 +263,11 @@ def _verify_witness(
     if covered != sorted(r.op_id for r in records):
         raise AssertionError("witness does not cover the operations exactly once")
     by_id = {r.op_id: r for r in records}
-    for position, placed_first in enumerate(order):
-        for placed_after in order[position + 1 :]:
-            if any(
-                by_id[a].responded_at < by_id[b].invoked_at
-                for a in placed_after.op_ids
-                for b in placed_first.op_ids
-            ):
-                raise AssertionError("witness order contradicts real-time precedence")
+    later_first_res = float("inf")  # earliest response among classes placed later
+    for cls in reversed(order):
+        if later_first_res < max(by_id[op].invoked_at for op in cls.op_ids):
+            raise AssertionError("witness order contradicts real-time precedence")
+        later_first_res = min(later_first_res, *(by_id[op].responded_at for op in cls.op_ids))
 
 
 def _check(
@@ -286,12 +288,9 @@ def _check(
     except StructuralRefutation as exc:
         return Verdict(CheckOutcome.REJECTED, refutation=str(exc))
 
-    precedence = lifted_precedence(records, classes)
-    inv_seq_of = {r.op_id: r.invoked_at for r in records}
-    order_indices, refutation = _search(classes, precedence, inv_seq_of)
-    if order_indices is None:
+    witness, refutation = _search(classes, records)
+    if witness is None:
         return Verdict(CheckOutcome.REJECTED, refutation=refutation)
-    witness = tuple(classes[i] for i in order_indices)
     _verify_witness(witness, records)
     return Verdict(CheckOutcome.ACCEPTED, witness=witness)
 

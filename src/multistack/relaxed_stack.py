@@ -27,7 +27,9 @@ The numbered lines referenced by step traces:
 Shared-memory actions carry the labels 3/16 (top loads), 4/20 (flag
 reads), 21 (the flag write) and 6/10/22/25 (top compare-and-sets); the
 other lines are private control flow.  An instrumented run emits one step
-event per shared action, in the order the actions took effect.
+event per shared action, just after the action.  Another thread can act
+between an action and its event, so step events are not guaranteed to be
+in the order the actions took effect.
 """
 
 from __future__ import annotations

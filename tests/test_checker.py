@@ -16,6 +16,7 @@ from multistack.checker import (
     group_classes,
     write_witness,
 )
+from multistack.cli import RunConfig, run_stress
 from multistack.elements import EMPTY, Element
 from multistack.history import (
     Event,
@@ -255,11 +256,18 @@ def resequenced_without(history: History, op_ids: set[int]) -> History:
 
 def test_witnesses_replay_and_respect_precedence():
     rng = random.Random(77)
+    histories = [random_history(rng) for _ in range(150)]
+    # Recorded runs of 256 and 1024 ops: witnesses far longer than the
+    # random histories, where the search's ready window does the work.
+    stress = [
+        run_stress(RunConfig(threads=2, ops_per_thread=ops, seed=seed)).history
+        for ops, seed in ((128, 1), (128, 2), (512, 3))
+    ]
     accepted = 0
-    for _ in range(150):
-        history = random_history(rng)
-        verdict = check_set_linearizable(history)
+    for index, history in enumerate(histories + stress):
+        verdict = check_set_linearizable(history, max_ops=1024)
         if not verdict.accepted:
+            assert index < len(histories), "a recorded stress run was rejected"
             continue
         accepted += 1
         assert replay(verdict.witness).accepted

@@ -249,6 +249,24 @@ def test_check_missing_file(tmp_path, capsys):
     assert "MALFORMED" in capsys.readouterr().out
 
 
+def test_check_decides_a_2048_op_stress_run(tmp_path, capsys):
+    # More classes than the interpreter's default recursion limit: the
+    # search must not recurse once per placed class.
+    path = tmp_path / "long.history"
+    assert main(["stress", "-t", "2", "-n", "1024", "--seed", "11", "-o", str(path)]) == 0
+    assert main(["check", str(path), "--max-ops", "2048"]) == 0
+    assert "ACCEPTED" in capsys.readouterr().out
+    witness = (tmp_path / "long.history.witness").read_text(encoding="utf-8")
+    placed = [
+        int(op)
+        for line in witness.splitlines()
+        for op in line.split(": ")[1].split(" -> ")[0].split(",")
+    ]
+    complete = [r.op_id for r in operations(read_history(path)) if r.complete]
+    assert len(complete) == 2048
+    assert sorted(placed) == sorted(complete)
+
+
 def test_check_custom_witness_path(tmp_path):
     path = tmp_path / "shared.history"
     write_shared_pop_history(path)
