@@ -13,7 +13,8 @@ Grouping is forced, not searched: push ids are unique, so the partition
 of pops by returned id is the only candidate.  That makes several
 rejections structural (no search needed): pops sharing an id that do not
 pairwise overlap, a popped id nobody pushed, or two pushes claiming one
-id.
+id.  Both checks build their classes there, so whatever the linearizable
+check accepts, the set-linearizable check accepts too.
 
 Precedence comes from three integers per class, its first invocation,
 last invocation and first response: class k precedes class i exactly when
@@ -100,13 +101,16 @@ def _check_result_shapes(records: Sequence[OperationRecord]) -> None:
                 )
 
 
-def group_classes(records: Sequence[OperationRecord]) -> list[ConcurrencyClass]:
+def group_classes(
+    records: Sequence[OperationRecord], shared: bool = True
+) -> list[ConcurrencyClass]:
     """Partition complete operations into their only possible classes.
 
-    Raises StructuralRefutation when no stack execution could have produced
-    the records: duplicate push ids, a popped id that was never pushed, a
-    popped value disagreeing with its push, or same-id pops that do not
-    pairwise overlap.
+    Pops returning the same push id form one class; with shared=False every
+    pop is alone in its class.  Raises StructuralRefutation when no stack
+    execution could have produced the records: duplicate push ids, a popped
+    id that was never pushed, a popped value disagreeing with its push, or
+    same-id pops that do not pairwise overlap.
     """
     if any(not r.complete for r in records):
         raise ValueError("grouping expects pending operations to be dropped first")
@@ -147,7 +151,8 @@ def group_classes(records: Sequence[OperationRecord]) -> list[ConcurrencyClass]:
                     f"op {record.op_id} popped {returned} but op {push.op_id} "
                     f"pushed {push.argument}"
                 )
-            shared_pops.setdefault(returned.push_id, []).append(record)
+            key = returned.push_id if shared else record.op_id
+            shared_pops.setdefault(key, []).append(record)
 
     for push_id, members in sorted(shared_pops.items()):
         for i, a in enumerate(members):
@@ -270,9 +275,7 @@ def _verify_witness(
         later_first_res = min(later_first_res, *(by_id[op].responded_at for op in cls.op_ids))
 
 
-def _check(
-    history: History, singletons: bool, max_ops: int
-) -> Verdict:
+def _check(history: History, shared: bool, max_ops: int) -> Verdict:
     records = complete_operations(history)
     if len(records) > max_ops:
         return Verdict(
@@ -280,11 +283,7 @@ def _check(
             refutation=f"{len(records)} complete operations exceed the cap of {max_ops}",
         )
     try:
-        if singletons:
-            _check_result_shapes(records)
-            classes = _singleton_classes(records)
-        else:
-            classes = group_classes(records)
+        classes = group_classes(records, shared)
     except StructuralRefutation as exc:
         return Verdict(CheckOutcome.REJECTED, refutation=str(exc))
 
@@ -295,30 +294,16 @@ def _check(
     return Verdict(CheckOutcome.ACCEPTED, witness=witness)
 
 
-def _singleton_classes(records: Sequence[OperationRecord]) -> list[ConcurrencyClass]:
-    classes = []
-    for record in records:
-        if record.name is OpName.PUSH:
-            assert isinstance(record.argument, Element)
-            classes.append(push_class(record.op_id, record.argument))
-        elif isinstance(record.result, _Empty):
-            classes.append(pop_empty_class(record.op_id))
-        else:
-            assert isinstance(record.result, Element)
-            classes.append(pop_group_class([record.op_id], record.result))
-    return classes
-
-
 def check_set_linearizable(history: History, max_ops: int = DEFAULT_MAX_OPS) -> Verdict:
     """Is there an ordering of the forced classes that replays as a stack
     and respects real-time precedence?  Pending operations are dropped."""
-    return _check(history, singletons=False, max_ops=max_ops)
+    return _check(history, shared=True, max_ops=max_ops)
 
 
 def check_linearizable(history: History, max_ops: int = DEFAULT_MAX_OPS) -> Verdict:
     """The classical condition: like check_set_linearizable but with every
     operation alone in its class, so no return sharing is allowed."""
-    return _check(history, singletons=True, max_ops=max_ops)
+    return _check(history, shared=False, max_ops=max_ops)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Optional, Sequence, Union
 
 from .baseline_stack import TreiberStack
 from .checker import (
+    DEFAULT_MAX_OPS,
     CheckOutcome,
     check_linearizable,
     check_set_linearizable,
@@ -57,12 +58,6 @@ from .simulator import (
 )
 
 BUNDLED_FIXTURES = ("shared_pop", "helped_pop", "push_race", "push_helps")
-
-# Above this many operations a stress run stops storing step events (they
-# are still counted); INV/RES events are always kept.
-STEP_STORAGE_LIMIT = 1000
-
-CHECK_SCALE_TOTAL_OPS = 16
 
 
 def make_stack(impl: str, checked: bool) -> Union[RelaxedStack, TreiberStack]:
@@ -148,7 +143,7 @@ def run_stress(config: RunConfig) -> StressResult:
     workers drains the run: at the final snapshot nothing is in flight.
     """
     stack = make_stack(config.impl, checked=True)
-    recorder = Recorder(store_steps=config.total_ops <= STEP_STORAGE_LIMIT)
+    recorder = Recorder()
     op_ids = itertools.count(1)
     op_id_lock = threading.Lock()
     outcomes: list[list[tuple[OpName, object]]] = [[] for _ in range(config.threads)]
@@ -347,13 +342,10 @@ def run_bench(
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
-    ops = args.ops_per_thread
-    if args.check_scale:
-        ops = max(1, CHECK_SCALE_TOTAL_OPS // args.threads)
     config = RunConfig(
         impl=args.impl,
         threads=args.threads,
-        ops_per_thread=ops,
+        ops_per_thread=args.ops_per_thread,
         push_ratio=args.push_ratio,
         value_range=args.value_range,
         seed=args.seed,
@@ -482,6 +474,7 @@ def history_shares_return(history: History) -> bool:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    max_ops = args.threads * args.ops  # every run completes all of them
     total_runs = 0
     accepted = 0
     rejected_schedules = []
@@ -490,16 +483,16 @@ def cmd_explore(args: argparse.Namespace) -> int:
     for programs in all_program_mixes(args.threads, args.ops):
         scenario = Scenario(programs=programs)
         mix_runs = 0
-        for run in explore(scenario, max_steps=args.step_bound):
+        for run in explore(scenario):
             mix_runs += 1
-            verdict = check_set_linearizable(run.history, max_ops=args.max_ops)
+            verdict = check_set_linearizable(run.history, max_ops=max_ops)
             if verdict.accepted:
                 accepted += 1
             else:
                 rejected_schedules.append((programs, run.schedule, verdict.refutation))
             if history_shares_return(run.history):
                 shared += 1
-                if not check_linearizable(run.history, max_ops=args.max_ops).accepted:
+                if not check_linearizable(run.history, max_ops=max_ops).accepted:
                     shared_lin_rejected += 1
         total_runs += mix_runs
         if args.verbose:
@@ -566,18 +559,13 @@ def build_parser() -> argparse.ArgumentParser:
     stress.add_argument("--push-ratio", type=float, default=0.5)
     stress.add_argument("--value-range", type=int, default=100)
     stress.add_argument("--seed", type=int, default=0)
-    stress.add_argument(
-        "--check-scale",
-        action="store_true",
-        help=f"shrink the run to at most {CHECK_SCALE_TOTAL_OPS} total operations",
-    )
     stress.add_argument("-o", "--output", default="stress.history")
     stress.set_defaults(func=cmd_stress)
 
     check = sub.add_parser("check", help="decide a recorded history")
     check.add_argument("history")
     check.add_argument("--mode", choices=("setlin", "lin"), default="setlin")
-    check.add_argument("--max-ops", type=int, default=16)
+    check.add_argument("--max-ops", type=int, default=DEFAULT_MAX_OPS)
     check.add_argument("--witness", help="witness path (default: <history>.witness)")
     check.set_defaults(func=cmd_check)
 
@@ -599,8 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore_cmd.add_argument("--threads", type=int, default=2)
     explore_cmd.add_argument("--ops", type=int, default=2)
-    explore_cmd.add_argument("--step-bound", type=int, default=500)
-    explore_cmd.add_argument("--max-ops", type=int, default=16)
     explore_cmd.add_argument("-v", "--verbose", action="store_true")
     explore_cmd.set_defaults(func=cmd_explore)
 

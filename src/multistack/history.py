@@ -17,7 +17,9 @@ and NAME one of PUSH/POP.  PAYLOAD is one of
 
 Files are UTF-8, newline-terminated, sorted by SEQ.  This format is the
 contract between the CLI subcommands: whatever records a run writes it,
-and the checker reads it back.
+and the checker reads it back.  Live runs (the Recorder) write INV/RES
+events only and tally their steps per line; the deterministic simulator
+also writes its STEP events, which are exact and in effect order.
 """
 
 from __future__ import annotations
@@ -94,17 +96,17 @@ class Recorder:
     well-formedness (invoke, then steps, then respond) is enforced here so
     a harness bug cannot masquerade as an interesting history.
 
-    With store_steps=False, step events are only tallied per line number,
-    which keeps long stress runs cheap while preserving INV/RES events.
+    Steps are tallied per line number, not stored: the history holds the
+    INV/RES events only.  A live step callback fires after its action, so
+    its place among other threads' events would not be its effect order.
     """
 
-    def __init__(self, store_steps: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: list[Event] = []
         self._next_seq = 0
         self._pending: dict[int, tuple[int, OpName]] = {}
         self._step_counts: dict[int, int] = {}
-        self._store_steps = store_steps
 
     def invocation(
         self, process: int, op_id: int, name: OpName, argument: Optional[Element] = None
@@ -130,10 +132,8 @@ class Recorder:
 
     def step(self, process: int, op_id: int, line: int) -> None:
         with self._lock:
-            name = self._require_pending(process, op_id)
+            self._require_pending(process, op_id)
             self._step_counts[line] = self._step_counts.get(line, 0) + 1
-            if self._store_steps:
-                self._append(process, op_id, EventKind.STEP, name, line)
 
     def tracer(self, process: int, op_id: int):
         """Bind process and op id into a step callback for a stack to call."""
@@ -147,7 +147,7 @@ class Recorder:
         with self._lock:
             return dict(self._step_counts)
 
-    def _require_pending(self, process: int, op_id: int) -> OpName:
+    def _require_pending(self, process: int, op_id: int) -> None:
         pending = self._pending.get(process)
         if pending is None:
             raise RecorderError(f"process {process} has no pending operation")
@@ -156,7 +156,6 @@ class Recorder:
                 f"process {process} recorded for op {op_id} while op "
                 f"{pending[0]} is pending"
             )
-        return pending[1]
 
     def _append(
         self, process: int, op_id: int, kind: EventKind, name: OpName, payload: Payload

@@ -105,10 +105,14 @@ def set_linearizable_by_enumeration(history: History) -> bool:
 def linearizable_by_enumeration(history: History) -> bool:
     records = complete_operations(history)
     classes: list[tuple] = []
+    seen_push_ids = set()
     for record in records:
         if record.name is OpName.PUSH:
             if record.result is not True or not isinstance(record.argument, Element):
                 return False
+            if record.argument.push_id in seen_push_ids:
+                return False
+            seen_push_ids.add(record.argument.push_id)
             classes.append(("push", (record,), record.argument))
         elif isinstance(record.result, _Empty):
             classes.append(("pop_empty", (record,), None))

@@ -239,6 +239,20 @@ def test_lin_accepted_implies_setlin_accepted():
     assert checked > 20  # the generator really does produce accepted runs
 
 
+def test_both_modes_reject_a_reused_push_id():
+    # A plain stack replays this, but no run mints push id #1 twice.
+    five = Element(5, 1)
+    history = sequential_history(
+        ("push", 1, five), ("pop", 2, five), ("push", 3, five), ("pop", 4, five)
+    )
+    for check in (check_linearizable, check_set_linearizable):
+        verdict = check(history)
+        assert verdict.outcome is CheckOutcome.REJECTED
+        assert verdict.refutation == "ops 1 and 3 both pushed id #1"
+    assert not linearizable_by_enumeration(history)
+    assert not set_linearizable_by_enumeration(history)
+
+
 # ---------------------------------------------------------------------------
 # Witness soundness and monotonicity
 # ---------------------------------------------------------------------------

@@ -44,9 +44,14 @@ def test_recorder_assigns_gapless_sequence():
     recorder.invocation(1, 1, OpName.PUSH, E1)
     recorder.step(1, 1, 3)
     recorder.response(1, 1, True)
+    recorder.invocation(1, 2, OpName.POP)
+    recorder.response(1, 2, E1)
     history = recorder.history()
-    assert [e.seq for e in history.events] == [0, 1, 2]
-    assert history.events[1].payload == 3
+    assert [e.seq for e in history.events] == [0, 1, 2, 3]
+    assert [e.kind for e in history.events] == [
+        EventKind.INVOCATION,
+        EventKind.RESPONSE,
+    ] * 2
 
 
 def test_recorder_rejects_double_invocation():
@@ -78,7 +83,7 @@ def test_recorder_rejects_push_without_argument():
 
 
 def test_recorder_step_counting_mode():
-    recorder = Recorder(store_steps=False)
+    recorder = Recorder()
     recorder.invocation(1, 1, OpName.POP)
     recorder.step(1, 1, 16)
     recorder.step(1, 1, 16)
@@ -107,10 +112,11 @@ def test_recorder_under_contention_stays_well_formed():
     for w in workers:
         w.join()
     history = recorder.history()
-    assert len(history.events) == threads * ops_per_thread * 3
+    assert len(history.events) == threads * ops_per_thread * 2
     records = operations(history)  # raises if anything is out of order
     assert len(records) == threads * ops_per_thread
     assert all(r.complete for r in records)
+    assert recorder.step_counts() == {16: threads * ops_per_thread}
 
 
 # ---------------------------------------------------------------------------

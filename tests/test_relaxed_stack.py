@@ -132,8 +132,7 @@ def test_tracer_wires_steps_into_the_recorder():
     recorder.invocation(1, 1, OpName.PUSH, element)
     stack.push(element, recorder.tracer(1, 1))
     recorder.response(1, 1, True)
-    steps = [e.payload for e in recorder.history().events if e.kind.value == "STEP"]
-    assert steps == [3, 4, 6]
+    assert recorder.step_counts() == {3: 1, 4: 1, 6: 1}
 
 
 def test_guarded_nodes_report_flag_regression():
