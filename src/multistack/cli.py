@@ -50,6 +50,7 @@ from .simulator import (
     FixtureFormatError,
     PlannedOp,
     Scenario,
+    ScheduleError,
     explore,
     load_bundled_fixture,
     load_fixture,
@@ -399,13 +400,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
             scenario = load_bundled_fixture(args.fixture)
         else:
             scenario = load_fixture(args.fixture)
-    except (FixtureFormatError, OSError) as exc:
+    except (FixtureFormatError, UnicodeDecodeError, OSError) as exc:
         print(f"MALFORMED: {exc}")
         return 3
     if scenario.schedule is None:
         print("MALFORMED: fixture has no SCHED line to replay")
         return 3
-    result = replay_scenario(scenario)
+    try:
+        result = replay_scenario(scenario)
+    except ScheduleError as exc:
+        print(f"MALFORMED: {exc}")
+        return 3
     for event in result.history.events:
         print(format_event(event))
     memory = " ".join(f"({e.value},{'T' if elim else 'F'})" for e, elim in result.memory)

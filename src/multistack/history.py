@@ -15,18 +15,24 @@ and NAME one of PUSH/POP.  PAYLOAD is one of
     L<line>              the numbered algorithm line of a STEP event
     -                    no payload (pop invocation)
 
-Files are UTF-8, newline-terminated, sorted by SEQ.  This format is the
-contract between the CLI subcommands: whatever records a run writes it,
-and the checker reads it back.  Live runs (the Recorder) write INV/RES
-events only and tally their steps per line; the deterministic simulator
-also writes its STEP events, which are exact and in effect order.
+The `-` payload appears on POP invocations and nowhere else.  Files are
+UTF-8, newline-terminated, sorted by SEQ.  This format is the contract
+between the CLI subcommands: whatever records a run writes it, and the
+checker reads it back.  Live runs (the Recorder) write INV/RES events only
+and tally their steps per line; the deterministic simulator also writes
+its STEP events, which are exact and in effect order.
+
+A History pairs its events into operation records once, on first use, and
+keeps them: validating a parsed file and checking it share one pairing.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .elements import EMPTY, Element, _Empty
@@ -43,6 +49,12 @@ class EventKind(Enum):
 class OpName(Enum):
     PUSH = "PUSH"
     POP = "POP"
+
+
+_KIND_BY_TOKEN = {kind.value: kind for kind in EventKind}
+_NAME_BY_TOKEN = {name.value: name for name in OpName}
+_TOKEN_BY_KIND = {kind: token for token, kind in _KIND_BY_TOKEN.items()}
+_TOKEN_BY_NAME = {name: token for token, name in _NAME_BY_TOKEN.items()}
 
 
 @dataclass(frozen=True)
@@ -90,15 +102,20 @@ class IllFormedHistory(ValueError):
 class Recorder:
     """Thread-safe event sink assigning the global sequence order.
 
-    Every record call takes one internal lock, so the sequence numbers are
-    gapless and unique, and the order of events in the history is the order
-    in which the recording threads got through the recorder.  Per-process
-    well-formedness (invoke, then steps, then respond) is enforced here so
-    a harness bug cannot masquerade as an interesting history.
+    Each process records from one thread.  Invocations and responses take
+    one internal lock, so the sequence numbers are gapless and unique, and
+    the order of events in the history is the order in which the recording
+    threads got through the recorder.  Per-process well-formedness (invoke,
+    then steps, then respond) is enforced here so a harness bug cannot
+    masquerade as an interesting history.
 
-    Steps are tallied per line number, not stored: the history holds the
-    INV/RES events only.  A live step callback fires after its action, so
-    its place among other threads' events would not be its effect order.
+    Steps are tallied per process and line number, not stored: the history
+    holds the INV/RES events only.  A live step callback fires after its
+    action, so its place among other threads' events would not be its
+    effect order.  A step takes no lock: it reads its own process's pending
+    operation and bumps a counter only that process's thread writes.
+    step_counts() sums the per-process tallies; it is exact once the
+    recording threads are done.
     """
 
     def __init__(self) -> None:
@@ -106,7 +123,7 @@ class Recorder:
         self._events: list[Event] = []
         self._next_seq = 0
         self._pending: dict[int, tuple[int, OpName]] = {}
-        self._step_counts: dict[int, int] = {}
+        self._step_counts: dict[int, dict[int, int]] = {}  # process -> line -> steps
 
     def invocation(
         self, process: int, op_id: int, name: OpName, argument: Optional[Element] = None
@@ -122,6 +139,7 @@ class Recorder:
                     f"{self._pending[process][0]} is still pending"
                 )
             self._pending[process] = (op_id, name)
+            self._step_counts.setdefault(process, {})
             self._append(process, op_id, EventKind.INVOCATION, name, argument)
 
     def response(self, process: int, op_id: int, value: Payload) -> None:
@@ -131,9 +149,9 @@ class Recorder:
             self._append(process, op_id, EventKind.RESPONSE, name, value)
 
     def step(self, process: int, op_id: int, line: int) -> None:
-        with self._lock:
-            self._require_pending(process, op_id)
-            self._step_counts[line] = self._step_counts.get(line, 0) + 1
+        self._require_pending(process, op_id)
+        counts = self._step_counts[process]  # made by the pending op's invocation
+        counts[line] = counts.get(line, 0) + 1
 
     def tracer(self, process: int, op_id: int):
         """Bind process and op id into a step callback for a stack to call."""
@@ -144,8 +162,11 @@ class Recorder:
             return History(tuple(self._events))
 
     def step_counts(self) -> dict[int, int]:
+        totals: Counter[int] = Counter()
         with self._lock:
-            return dict(self._step_counts)
+            for counts in self._step_counts.values():
+                totals.update(dict(counts))  # a C-level copy: safe beside a live step
+        return dict(totals)
 
     def _require_pending(self, process: int, op_id: int) -> None:
         pending = self._pending.get(process)
@@ -171,7 +192,11 @@ class Recorder:
 
 @dataclass(frozen=True)
 class History:
-    """A validated, seq-ordered event sequence."""
+    """A validated, seq-ordered event sequence.
+
+    Its operation records are paired on first use and kept with it; they
+    take no part in equality or hashing.
+    """
 
     events: tuple[Event, ...]
 
@@ -185,6 +210,11 @@ class History:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    @cached_property
+    def _records(self) -> tuple[OperationRecord, ...]:
+        """The paired operation records, built on first use and kept."""
+        return _pair(self.events)
 
 
 @dataclass(frozen=True)
@@ -204,71 +234,86 @@ class OperationRecord:
         return self.responded_at is not None
 
 
-def operations(history: History) -> list[OperationRecord]:
-    """Pair up invocations and responses, in invocation order.
+def _pair(events: tuple[Event, ...]) -> tuple[OperationRecord, ...]:
+    """Pair up invocations and responses in one pass, in invocation order.
 
-    Step events only need to belong to an invoked-but-unresponded op of the
-    same process; anything else means the history is not well formed.
+    Responses and steps must belong to the invoked-but-unresponded op of the
+    same process and name its operation; anything else means the history is
+    not well formed.
     """
-    records: dict[int, OperationRecord] = {}
-    pending: dict[int, int] = {}
-    for event in history.events:
+    records: list[Optional[OperationRecord]] = []  # a slot per invocation, in order
+    invoked: set[int] = set()
+    pending: dict[int, tuple[int, Event]] = {}  # process -> (slot, invocation)
+    for event in events:
         if event.kind is EventKind.INVOCATION:
-            if event.op_id in records:
+            if event.op_id in invoked:
                 raise IllFormedHistory(event.seq, f"op {event.op_id} invoked twice")
             if event.process in pending:
                 raise IllFormedHistory(
                     event.seq,
                     f"process {event.process} invoked op {event.op_id} "
-                    f"while op {pending[event.process]} is pending",
+                    f"while op {pending[event.process][1].op_id} is pending",
                 )
-            argument = event.payload if event.name is OpName.PUSH else None
-            if event.name is OpName.PUSH and not isinstance(argument, Element):
+            if event.name is OpName.PUSH and not isinstance(event.payload, Element):
                 raise IllFormedHistory(
                     event.seq, f"push invocation of op {event.op_id} lacks an element"
                 )
-            records[event.op_id] = OperationRecord(
-                op_id=event.op_id,
-                process=event.process,
-                name=event.name,
-                argument=argument,
-                result=None,
-                invoked_at=event.seq,
-                responded_at=None,
-            )
-            pending[event.process] = event.op_id
-        elif event.kind is EventKind.RESPONSE:
-            if pending.get(event.process) != event.op_id:
-                raise IllFormedHistory(
-                    event.seq,
+            invoked.add(event.op_id)
+            pending[event.process] = (len(records), event)
+            records.append(None)
+            continue
+        slot, invocation = pending.get(event.process, (-1, None))
+        is_response = event.kind is EventKind.RESPONSE
+        if invocation is None or invocation.op_id != event.op_id:
+            if is_response:
+                message = (
                     f"response for op {event.op_id} does not match the pending "
-                    f"operation of process {event.process}",
+                    f"operation of process {event.process}"
                 )
-            del pending[event.process]
-            record = records[event.op_id]
-            records[event.op_id] = OperationRecord(
-                op_id=record.op_id,
-                process=record.process,
-                name=record.name,
-                argument=record.argument,
-                result=event.payload,
-                invoked_at=record.invoked_at,
-                responded_at=event.seq,
+            else:
+                message = f"step for op {event.op_id} outside its invocation interval"
+            raise IllFormedHistory(event.seq, message)
+        if event.name is not invocation.name:
+            raise IllFormedHistory(
+                event.seq,
+                f"{'response' if is_response else 'step'} for op {event.op_id} names "
+                f"{_TOKEN_BY_NAME[event.name]} but op {event.op_id} is a "
+                f"{_TOKEN_BY_NAME[invocation.name]}",
             )
-        else:
-            if pending.get(event.process) != event.op_id:
-                raise IllFormedHistory(
-                    event.seq, f"step for op {event.op_id} outside its invocation interval"
-                )
-    return sorted(records.values(), key=lambda r: r.invoked_at)
+        if is_response:
+            del pending[event.process]
+            records[slot] = _record(invocation, event)
+    for slot, invocation in pending.values():
+        records[slot] = _record(invocation, None)
+    return tuple(records)
+
+
+def _record(invocation: Event, response: Optional[Event]) -> OperationRecord:
+    return OperationRecord(
+        op_id=invocation.op_id,
+        process=invocation.process,
+        name=invocation.name,
+        argument=invocation.payload if invocation.name is OpName.PUSH else None,
+        result=None if response is None else response.payload,
+        invoked_at=invocation.seq,
+        responded_at=None if response is None else response.seq,
+    )
+
+
+def operations(history: History) -> list[OperationRecord]:
+    """The history's operation records, in invocation order, as a fresh list.
+
+    Raises IllFormedHistory when the events do not pair up (see _pair).
+    """
+    return list(history._records)
 
 
 def complete_operations(history: History) -> list[OperationRecord]:
-    return [r for r in operations(history) if r.complete]
+    return [r for r in history._records if r.complete]
 
 
 def pending_operations(history: History) -> list[OperationRecord]:
-    return [r for r in operations(history) if not r.complete]
+    return [r for r in history._records if not r.complete]
 
 
 def precedes(a: OperationRecord, b: OperationRecord) -> bool:
@@ -302,7 +347,8 @@ def format_payload(payload: Payload) -> str:
 def format_event(event: Event) -> str:
     return (
         f"{event.seq} {event.process} {event.op_id} "
-        f"{event.kind.value} {event.name.value} {format_payload(event.payload)}"
+        f"{_TOKEN_BY_KIND[event.kind]} {_TOKEN_BY_NAME[event.name]} "
+        f"{format_payload(event.payload)}"
     )
 
 
@@ -343,20 +389,23 @@ def parse_event(line: str, lineno: int) -> Event:
         seq, process, op_id = int(seq_text), int(proc_text), int(opid_text)
     except ValueError:
         raise HistoryFormatError(lineno, "SEQ, PROC and OPID must be integers") from None
-    try:
-        kind = EventKind(kind_text)
-    except ValueError:
-        raise HistoryFormatError(lineno, f"unknown event kind {kind_text!r}") from None
-    try:
-        name = OpName(name_text)
-    except ValueError:
-        raise HistoryFormatError(lineno, f"unknown operation {name_text!r}") from None
+    kind = _KIND_BY_TOKEN.get(kind_text)
+    if kind is None:
+        raise HistoryFormatError(lineno, f"unknown event kind {kind_text!r}")
+    name = _NAME_BY_TOKEN.get(name_text)
+    if name is None:
+        raise HistoryFormatError(lineno, f"unknown operation {name_text!r}")
     payload = _parse_payload(payload_text, lineno)
     is_line = isinstance(payload, int) and not isinstance(payload, bool)
     if kind is EventKind.STEP and not is_line:
         raise HistoryFormatError(lineno, "STEP events need an L<line> payload")
     if kind is not EventKind.STEP and is_line:
         raise HistoryFormatError(lineno, "L<line> payloads belong to STEP events")
+    pop_invocation = kind is EventKind.INVOCATION and name is OpName.POP
+    if pop_invocation and payload is not None:
+        raise HistoryFormatError(lineno, "a POP invocation takes the '-' payload")
+    if payload is None and not pop_invocation:
+        raise HistoryFormatError(lineno, "the '-' payload belongs to POP invocations only")
     return Event(seq, process, op_id, kind, name, payload)
 
 
@@ -387,5 +436,11 @@ def write_history(history: History, path) -> None:
 
 
 def read_history(path) -> History:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise HistoryFormatError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
+    return loads(text)

@@ -237,6 +237,14 @@ def test_check_malformed_file_names_the_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().out
 
 
+def test_check_undecodable_file_is_malformed(tmp_path, capsys):
+    path = tmp_path / "binary.history"
+    path.write_bytes(b"0 1 1 INV POP -\n1 1 1 RES POP empty\xff\n")
+    assert main(["check", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("MALFORMED") and "line 2" in out
+
+
 def test_check_missing_file(tmp_path, capsys):
     code = main(["check", str(tmp_path / "nope.history")])
     assert code == 3
@@ -314,6 +322,25 @@ def test_replay_malformed_fixture(tmp_path, capsys):
     fixture.write_text("OP 1 POP\nWAT\n", encoding="utf-8")
     assert main(["replay", str(fixture)]) == 3
     assert "line 2" in capsys.readouterr().out
+
+
+def test_replay_undecodable_fixture_is_malformed(tmp_path, capsys):
+    fixture = tmp_path / "binary.txt"
+    fixture.write_bytes(b"OP 1 POP\nSCHED 1 \xff\n")
+    assert main(["replay", str(fixture)]) == 3
+    assert capsys.readouterr().out.startswith("MALFORMED")
+
+
+@pytest.mark.parametrize(
+    "schedule, fragment",
+    [("SCHED 1 1", "no operations left"), ("SCHED 2", "thread 2")],
+)
+def test_replay_impossible_schedule_is_malformed(tmp_path, capsys, schedule, fragment):
+    fixture = tmp_path / "overrun.txt"
+    fixture.write_text(f"OP 1 POP\n{schedule}\n", encoding="utf-8")
+    assert main(["replay", str(fixture)]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("MALFORMED") and fragment in out
 
 
 def test_replay_missing_fixture(capsys):

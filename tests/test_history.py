@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -119,6 +120,39 @@ def test_recorder_under_contention_stays_well_formed():
     assert recorder.step_counts() == {16: threads * ops_per_thread}
 
 
+def test_recorder_counts_every_step_under_preemption():
+    recorder = Recorder()
+    threads, ops_per_thread = 6, 300
+    counted_midway = []
+
+    def worker(thread: int) -> None:
+        process = thread + 1
+        for i in range(ops_per_thread):
+            op_id = thread * ops_per_thread + i + 1
+            recorder.invocation(process, op_id, OpName.PUSH, Element(i, op_id))
+            for line in (3, 4, 6):
+                recorder.step(process, op_id, line)
+            recorder.response(process, op_id, True)
+            if i == ops_per_thread // 2:
+                counted_midway.append(recorder.step_counts())
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(counted_midway) == threads
+    total = threads * ops_per_thread
+    assert recorder.step_counts() == {3: total, 4: total, 6: total}
+    assert len(operations(recorder.history())) == total
+
+
 # ---------------------------------------------------------------------------
 # Operation records and precedence
 # ---------------------------------------------------------------------------
@@ -142,6 +176,45 @@ def test_operations_pairs_invocations_and_responses():
     assert not dangling.complete and dangling.result is None
     assert [r.op_id for r in complete_operations(history)] == [1, 2]
     assert [r.op_id for r in pending_operations(history)] == [3]
+
+
+def test_loads_and_both_checks_pair_the_events_once(monkeypatch):
+    from multistack import checker, history as history_module
+
+    calls = []
+    pair = history_module._pair
+    monkeypatch.setattr(history_module, "_pair", lambda events: calls.append(1) or pair(events))
+    text = dumps(
+        build_history(
+            [
+                ("inv", 1, 1, "push", E1),
+                ("inv", 2, 2, "pop"),
+                ("res", 1, 1, True),
+                ("inv", 1, 3, "pop"),
+                ("res", 2, 2, E1),
+                ("res", 1, 3, E1),
+            ]
+        )
+    )
+    history = loads(text)
+    assert checker.check_set_linearizable(history).accepted
+    assert not checker.check_linearizable(history).accepted
+    assert len(calls) == 1
+
+
+def test_operations_returns_a_fresh_list_each_call():
+    from multistack.checker import check_set_linearizable
+
+    history = sequential_history(("push", 1, E1), ("pop", 2, E1), ("pop", 3, EMPTY))
+    before = check_set_linearizable(history)
+    operations(history).clear()
+    complete_operations(history).reverse()
+    assert [r.op_id for r in operations(history)] == [1, 2, 3]
+    after = check_set_linearizable(history)
+    assert (after.outcome, after.witness) == (before.outcome, before.witness)
+    # The kept records do not take part in equality or hashing.
+    fresh = loads(dumps(history))
+    assert history == fresh and hash(history) == hash(fresh)
 
 
 def test_precedes_and_concurrent():
@@ -231,6 +304,9 @@ def test_loads_ignores_blank_lines():
         ("0 1 1 INV PUSH nope", "payload"),
         ("0 1 1 INV POP L3", "STEP"),
         ("0 1 1 STEP POP empty", "L<line>"),
+        ("0 1 1 INV POP v:1#1", "'-'"),
+        ("0 1 1 INV POP true", "'-'"),
+        ("0 1 1 RES POP -", "'-'"),
     ],
 )
 def test_parse_event_errors(line, fragment):
@@ -258,6 +334,32 @@ def test_loads_reports_ill_formed_run_with_line():
     with pytest.raises(HistoryFormatError) as info:
         loads(text)
     assert info.value.lineno == 3
+
+
+@pytest.mark.parametrize(
+    "text, lineno, fragment",
+    [
+        ("0 1 1 INV PUSH v:1#1\n1 1 1 RES POP true\n", 2, "names POP but op 1 is a PUSH"),
+        ("0 1 1 INV POP -\n1 1 1 STEP PUSH L16\n", 2, "names PUSH but op 1 is a POP"),
+        ("0 1 1 INV POP v:1#1\n1 1 1 RES POP empty\n", 1, "'-'"),
+        ("0 1 1 INV POP true\n1 1 1 RES POP empty\n", 1, "'-'"),
+        ("0 1 1 INV POP -\n1 1 1 RES POP -\n", 2, "'-'"),
+    ],
+)
+def test_loads_rejects_malformed_events_with_line(text, lineno, fragment):
+    with pytest.raises(HistoryFormatError) as info:
+        loads(text)
+    assert info.value.lineno == lineno
+    assert fragment in str(info.value)
+
+
+def test_read_history_rejects_undecodable_bytes_with_line(tmp_path):
+    path = tmp_path / "binary.history"
+    path.write_bytes(b"0 1 1 INV POP -\n1 1 1 RES POP \xff\n")
+    with pytest.raises(HistoryFormatError) as info:
+        read_history(path)
+    assert info.value.lineno == 2
+    assert "0xff" in str(info.value)
 
 
 def test_history_validates_gapless_seq():
