@@ -22,12 +22,15 @@ first_res[k] < last_inv[i].  A class's members overlap pairwise, so a
 remaining class is ready exactly when its last_inv is below the earliest
 first_res among the remaining classes (just-in-time linearization; Wing &
 Gong 1993, Lowe 2017).  The search tries ready classes in order of first
-invocation, depth first on an explicit stack, replaying the model state
-and memoizing (remaining classes, model state) pairs known to be dead.
-Accepted verdicts carry the witness ordering, which is independently
-re-verified before being returned; histories with more complete
-operations than the size cap come back undecided rather than silently
-truncated.
+invocation, depth first on an explicit stack.  It runs the model on
+interned states (hash-consing; Filliâtre & Conchon 2006): a stack is an
+id for its (stack below, push id on top) pair, so a transition and the
+memo key of a dead (remaining classes, state) pair cost O(1).  A refused
+transition is worded by the model itself (spec_machine.apply_class on the
+rebuilt state).  Accepted verdicts carry the witness ordering, which is
+independently replayed through the model and re-verified before being
+returned; histories with more complete operations than the size cap come
+back undecided rather than silently truncated.
 """
 
 from __future__ import annotations
@@ -184,7 +187,9 @@ def _search(
     """Depth-first search for a precedence-respecting replayable order.
 
     Returns (order, "") on success or (None, refutation) on exhaustion.
-    States are (remaining-class bitmask, model state); dead states are
+    Model states are interned ids: 0 is the empty stack, and each (state
+    below, push id on top) pair gets one id, so equal stacks share an id.
+    Search states are (remaining-class bitmask, state id); dead ones are
     memoized so shared suffixes are refuted once.
     """
     n = len(classes)
@@ -201,13 +206,16 @@ def _search(
     # Deterministic witnesses: try ready classes by earliest member invocation.
     spans.sort(key=lambda span: span[0])
     first_inv, last_inv, first_res, ordered = zip(*spans)
+    below = [0]  # state id -> id of the state under its top
+    tops: list[Optional[Element]] = [None]  # state id -> element on top
+    interned: dict[tuple[int, int], int] = {}  # (below, push id) -> state id
     placed = [False] * n  # the complement of remaining, for O(1) lookups
     remaining = (1 << n) - 1
     prefix: list[int] = []
-    dead: set[tuple[int, tuple[int, ...]]] = set()
+    dead: set[tuple[int, int]] = set()
     best_depth, best_blocks = -1, []
 
-    def open_frame(state) -> tuple:
+    def open_frame(state: int) -> tuple:
         # The bound is the earliest first response among the remaining
         # classes; no class invoked after it can lower it or be ready.
         lo = (remaining & -remaining).bit_length() - 1  # first unplaced class
@@ -220,21 +228,48 @@ def _search(
                 bound = min(bound, first_res[p])
         return state, iter([p for p in window if last_inv[p] <= bound]), []
 
-    # One frame per placed class and the root: (model state, ready classes
-    # not yet tried, transitions refused).
-    frames = [open_frame(())]
+    def refusal(state: int, cls: ConcurrencyClass) -> str:
+        """The model's own reason for refusing cls in the given state."""
+        stack = []
+        while state:
+            stack.append(tops[state])
+            state = below[state]
+        try:
+            apply_class(tuple(reversed(stack)), cls)
+        except TransitionError as exc:
+            return str(exc)
+        raise AssertionError(f"the model applies {cls.describe()}; the search refused it")
+
+    # One frame per placed class and the root: (state id, ready classes not
+    # yet tried, transitions refused).  Grouping rejects duplicate push ids,
+    # so a push is never refused.
+    frames = [open_frame(0)]
     while frames:
         state, candidates, blocks = frames[-1]
         for p in candidates:
-            try:
-                next_state, _ = apply_class(state, ordered[p])
-            except TransitionError as exc:
-                blocks.append(str(exc))
+            cls = ordered[p]
+            if cls.kind is ClassKind.PUSH:
+                key = (state, cls.element.push_id)
+                next_state = interned.get(key)
+                if next_state is None:
+                    next_state = interned[key] = len(below)
+                    below.append(state)
+                    tops.append(cls.element)
+            elif cls.kind is ClassKind.POP_EMPTY and not state:
+                next_state = 0
+            elif (
+                cls.kind is ClassKind.POP_GROUP
+                and state
+                and tops[state].push_id == cls.element.push_id
+            ):
+                next_state = below[state]
+            else:
+                blocks.append(refusal(state, cls))
                 continue
             after = remaining ^ 1 << p
             if not after:
                 return tuple(ordered[q] for q in prefix + [p]), ""
-            if not dead or (after, tuple(e.push_id for e in next_state)) not in dead:
+            if not dead or (after, next_state) not in dead:
                 placed[p] = True
                 remaining = after
                 prefix.append(p)
@@ -243,7 +278,7 @@ def _search(
         else:
             if len(prefix) > best_depth:
                 best_depth, best_blocks = len(prefix), blocks
-            dead.add((remaining, tuple(e.push_id for e in state)))
+            dead.add((remaining, state))
             frames.pop()
             if prefix:
                 p = prefix.pop()

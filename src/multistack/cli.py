@@ -8,13 +8,14 @@ interleaving.  The environment variable STACK_SEED, when set, overrides
 --seed for every subcommand that takes one.
 
 Exit codes of `check`: 0 accepted, 1 rejected, 2 undecided (size cap),
-3 malformed input.
+3 malformed input or an unwritable witness path.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import os
 import random
@@ -384,7 +385,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     if verdict.outcome is CheckOutcome.ACCEPTED:
         assert verdict.witness is not None
         witness_path = args.witness or f"{args.history}.witness"
-        write_witness(verdict.witness, witness_path)
+        try:
+            write_witness(verdict.witness, witness_path)
+        except OSError as exc:
+            print(f"ERROR: {exc}")
+            return 3
         print(f"ACCEPTED: {len(verdict.witness)} classes; witness written to {witness_path}")
         return 0
     if verdict.outcome is CheckOutcome.REJECTED:
@@ -422,7 +427,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     print(f"FINAL LOGICAL {logical}".rstrip())
     print(f"RETURNS {returns}".rstrip())
     if args.output:
-        write_history(result.history, args.output)
+        try:
+            write_history(result.history, args.output)
+        except OSError as exc:
+            print(f"ERROR: {exc}")
+            return 3
     if args.check_expectations:
         problems = verify_expectations(scenario, result)
         for problem in problems:
@@ -550,6 +559,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multistack",

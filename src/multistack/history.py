@@ -22,8 +22,11 @@ checker reads it back.  Live runs (the Recorder) write INV/RES events only
 and tally their steps per line; the deterministic simulator also writes
 its STEP events, which are exact and in effect order.
 
-A History pairs its events into operation records once, on first use, and
-keeps them: validating a parsed file and checking it share one pairing.
+Events and operation records are named tuples: immutable, compared and
+hashed by their fields, and cheap to build.  A History pairs its events
+into operation records once, on first use, and keeps them: validating a
+parsed file and checking it share one pairing.  loads parses each distinct
+payload token once, so a pop's result is its push's Element.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .elements import EMPTY, Element, _Empty
 
@@ -57,8 +60,7 @@ _TOKEN_BY_KIND = {kind: token for token, kind in _KIND_BY_TOKEN.items()}
 _TOKEN_BY_NAME = {name: token for token, name in _NAME_BY_TOKEN.items()}
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One atomic observation: an invocation, a response, or a numbered step.
 
     The payload depends on the kind: the pushed element for a PUSH
@@ -217,8 +219,7 @@ class History:
         return _pair(self.events)
 
 
-@dataclass(frozen=True)
-class OperationRecord:
+class OperationRecord(NamedTuple):
     """One operation's interval: its invocation and (if any) its response."""
 
     op_id: int
@@ -381,6 +382,11 @@ def _parse_payload(token: str, lineno: int) -> Payload:
 
 
 def parse_event(line: str, lineno: int) -> Event:
+    return _parse_event(line, lineno, {})
+
+
+def _parse_event(line: str, lineno: int, payloads: dict[str, Payload]) -> Event:
+    """parse_event, looking payload tokens up in (and adding them to) payloads."""
     fields = line.split()
     if len(fields) != 6:
         raise HistoryFormatError(lineno, f"expected 6 fields, got {len(fields)}")
@@ -395,7 +401,10 @@ def parse_event(line: str, lineno: int) -> Event:
     name = _NAME_BY_TOKEN.get(name_text)
     if name is None:
         raise HistoryFormatError(lineno, f"unknown operation {name_text!r}")
-    payload = _parse_payload(payload_text, lineno)
+    if payload_text in payloads:
+        payload = payloads[payload_text]
+    else:
+        payload = payloads[payload_text] = _parse_payload(payload_text, lineno)
     is_line = isinstance(payload, int) and not isinstance(payload, bool)
     if kind is EventKind.STEP and not is_line:
         raise HistoryFormatError(lineno, "STEP events need an L<line> payload")
@@ -412,10 +421,11 @@ def parse_event(line: str, lineno: int) -> Event:
 def loads(text: str) -> History:
     events: list[Event] = []
     linenos: list[int] = []
+    payloads: dict[str, Payload] = {}  # token -> parsed payload, for this text only
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        event = parse_event(line, lineno)
+        event = _parse_event(line, lineno, payloads)
         if event.seq != len(events):
             raise HistoryFormatError(
                 lineno, f"seq {event.seq} out of order; expected {len(events)}"

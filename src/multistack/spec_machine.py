@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .elements import EMPTY, Element, _Empty
 
@@ -38,8 +38,7 @@ class MalformedClassError(ValueError):
     """A concurrency class is structurally invalid regardless of state."""
 
 
-@dataclass(frozen=True)
-class SpecResponse:
+class SpecResponse(NamedTuple):
     """Return value handed to one member operation of an applied class."""
 
     op_id: int

@@ -116,8 +116,9 @@ def probe_sweep():
 
 @pytest.fixture(scope="module")
 def stress_sweep():
-    """100 seeded check-scale runs per implementation on real threads, plus
-    one large run, with conservation cross-checked on every single run."""
+    """100 seeded stress runs (4 threads × 4 ops) per implementation on real
+    threads, plus one large run, with conservation cross-checked on every
+    single run."""
     relaxed_rejections = []
     baseline_rejections = []
     conservation = []
@@ -267,7 +268,7 @@ def test_acceptance_5_stress_soundness(capsys, stress_sweep):
         capsys,
         5,
         ok,
-        f"100+100 check-scale runs accepted, conservation clean on all "
+        f"100+100 stress runs (4 threads × 4 ops) accepted, conservation clean on all "
         f"{stress_sweep['runs']} runs incl. {stress_sweep['big_total_ops']} ops "
         f"({stress_sweep['big_shared']} shared returns observed live)",
     )

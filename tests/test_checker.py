@@ -207,6 +207,35 @@ def test_search_refutation_names_the_blocker():
     assert "top" in verdict.refutation
 
 
+@pytest.mark.parametrize(
+    "ops, blocker",
+    [
+        (
+            (("pop", 1, E17), ("push", 2, E17)),
+            "placed 0 of 2; then: pop[1]->v:17#1 applied to the empty state",
+        ),
+        (
+            (("push", 1, E17), ("push", 2, E11), ("pop", 3, E17)),
+            "placed 2 of 3; then: pop[3]->v:17#1 but the top of (v:17#1, v:11#2) "
+            "is v:11#2",
+        ),
+        (
+            (("push", 1, E17), ("pop", 2, EMPTY)),
+            "placed 1 of 2; then: empty-pop applied to a non-empty state",
+        ),
+    ],
+)
+def test_refused_transitions_are_worded_by_the_model(ops, blocker):
+    history = sequential_history(*ops)
+    for check in (check_set_linearizable, check_linearizable):
+        verdict = check(history)
+        assert verdict.outcome is CheckOutcome.REJECTED
+        assert verdict.refutation == (
+            f"no precedence-respecting order of the {len(ops)} classes replays as "
+            f"a stack (best attempt {blocker})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Linearizability mode
 # ---------------------------------------------------------------------------

@@ -277,6 +277,14 @@ def test_check_custom_witness_path(tmp_path):
     assert witness.exists()
 
 
+def test_check_reports_an_unwritable_witness_path(tmp_path, capsys):
+    path = tmp_path / "shared.history"
+    write_shared_pop_history(path)
+    witness = tmp_path / "missing-dir" / "w.txt"
+    assert main(["check", str(path), "--witness", str(witness)]) == 3
+    assert capsys.readouterr().out.startswith("ERROR: ")
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------
@@ -293,6 +301,12 @@ def test_replay_bundled_fixture(tmp_path, capsys):
     # The emitted file round-trips and carries its own provenance.
     history = read_history(out)
     assert main(["check", str(out)]) == 0
+
+
+def test_replay_reports_an_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "replayed.history"
+    assert main(["replay", "shared_pop", "-o", str(target)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1].startswith("ERROR: ")
 
 
 def test_replay_failure_lists_the_mismatches(tmp_path, capsys):

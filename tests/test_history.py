@@ -14,6 +14,7 @@ from multistack.history import (
     EventKind,
     History,
     HistoryFormatError,
+    OperationRecord,
     OpName,
     Recorder,
     RecorderError,
@@ -215,6 +216,37 @@ def test_operations_returns_a_fresh_list_each_call():
     # The kept records do not take part in equality or hashing.
     fresh = loads(dumps(history))
     assert history == fresh and hash(history) == hash(fresh)
+
+
+def test_records_are_immutable_values():
+    from multistack.spec_machine import SpecResponse
+
+    def build():
+        return (
+            Event(0, 1, 1, EventKind.INVOCATION, OpName.PUSH, Element(5, 1)),
+            OperationRecord(1, 1, OpName.PUSH, Element(5, 1), True, 0, 1),
+            SpecResponse(1, Element(5, 1)),
+        )
+
+    for first, second in zip(build(), build()):
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        with pytest.raises(AttributeError):
+            first.op_id = 2
+    script = (("push", 1, E1), ("pop", 2, E1))
+    first, second = sequential_history(*script), sequential_history(*script)
+    assert first.events[0] is not second.events[0]
+    assert first == second and hash(first) == hash(second)
+    assert repr(build()[0]) == (
+        "Event(seq=0, process=1, op_id=1, kind=<EventKind.INVOCATION: 'INV'>, "
+        "name=<OpName.PUSH: 'PUSH'>, payload=v:5#1)"
+    )
+
+
+def test_loads_gives_a_pop_its_pushs_element():
+    text = dumps(sequential_history(("push", 1, E1), ("push", 2, E2), ("pop", 3, E2)))
+    first, second, pop = operations(loads(text))
+    assert pop.result is second.argument and pop.result is not first.argument
 
 
 def test_precedes_and_concurrent():
