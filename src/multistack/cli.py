@@ -8,7 +8,8 @@ interleaving.  The environment variable STACK_SEED, when set, overrides
 --seed for every subcommand that takes one.
 
 Exit codes of `check`: 0 accepted, 1 rejected, 2 undecided (size cap),
-3 malformed input or an unwritable witness path.
+3 malformed input or an unwritable witness path.  Every subcommand exits
+2 on a usage error, a negative or non-integer count included.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ class RunConfig:
     impl: str = "relaxed"
     threads: int = 4
     ops_per_thread: int = 100
-    push_ratio: float = 0.5
-    value_range: int = 100
     seed: int = 0
 
     @property
@@ -163,8 +162,8 @@ def run_stress(config: RunConfig) -> StressResult:
             for _ in range(config.ops_per_thread):
                 op_id = next_op_id()
                 trace = recorder.tracer(process, op_id)
-                if rng.random() < config.push_ratio:
-                    element = stack.make_element(rng.randrange(1, config.value_range + 1))
+                if rng.random() < 0.5:  # half pushes, of values 1..100
+                    element = stack.make_element(rng.randrange(1, 101))
                     recorder.invocation(process, op_id, OpName.PUSH, element)
                     stack.push(element, trace)
                     recorder.response(process, op_id, True)
@@ -275,7 +274,7 @@ def bench_once(config: RunConfig) -> float:
     def worker(thread: int) -> None:
         rng = config.thread_rng(thread)
         plan = [
-            (rng.random() < config.push_ratio, rng.randrange(1, config.value_range + 1))
+            (rng.random() < 0.5, rng.randrange(1, 101))  # half pushes, of values 1..100
             for _ in range(config.ops_per_thread)
         ]
         pushed = pushed_lists[thread]
@@ -317,8 +316,6 @@ def run_bench(
     impls: Sequence[str],
     thread_counts: Sequence[int],
     ops_per_thread: int,
-    push_ratio: float,
-    value_range: int,
     seed: int,
     repeats: int = 3,
 ) -> list[BenchRow]:
@@ -329,8 +326,6 @@ def run_bench(
                 impl=impl,
                 threads=threads,
                 ops_per_thread=ops_per_thread,
-                push_ratio=push_ratio,
-                value_range=value_range,
                 seed=seed,
             )
             times = [bench_once(config) for _ in range(repeats)]
@@ -348,8 +343,6 @@ def cmd_stress(args: argparse.Namespace) -> int:
         impl=args.impl,
         threads=args.threads,
         ops_per_thread=args.ops_per_thread,
-        push_ratio=args.push_ratio,
-        value_range=args.value_range,
         seed=args.seed,
     )
     result = run_stress(config)
@@ -526,14 +519,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    thread_counts = [int(token) for token in args.threads.split(",")]
     if args.ops_per_thread > 0:
         rows = run_bench(
             impls=args.impls.split(","),
-            thread_counts=thread_counts,
+            thread_counts=args.threads,
             ops_per_thread=args.ops_per_thread,
-            push_ratio=args.push_ratio,
-            value_range=args.value_range,
             seed=args.seed,
         )
     else:
@@ -559,6 +549,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def count(text: str) -> int:
+    """Argument type of the size options: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def counts(text: str) -> list[int]:
+    """Argument type of bench --threads: comma-separated counts."""
+    return [count(token) for token in text.split(",")]
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -569,10 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     stress = sub.add_parser("stress", help="hammer a stack with real threads")
     stress.add_argument("--impl", choices=("relaxed", "baseline"), default="relaxed")
-    stress.add_argument("-t", "--threads", type=int, default=4)
-    stress.add_argument("-n", "--ops-per-thread", type=int, default=100)
-    stress.add_argument("--push-ratio", type=float, default=0.5)
-    stress.add_argument("--value-range", type=int, default=100)
+    stress.add_argument("-t", "--threads", type=count, default=4)
+    stress.add_argument("-n", "--ops-per-thread", type=count, default=100)
     stress.add_argument("--seed", type=int, default=0)
     stress.add_argument("-o", "--output", default="stress.history")
     stress.set_defaults(func=cmd_stress)
@@ -580,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="decide a recorded history")
     check.add_argument("history")
     check.add_argument("--mode", choices=("setlin", "lin"), default="setlin")
-    check.add_argument("--max-ops", type=int, default=DEFAULT_MAX_OPS)
+    check.add_argument("--max-ops", type=count, default=DEFAULT_MAX_OPS)
     check.add_argument("--witness", help="witness path (default: <history>.witness)")
     check.set_defaults(func=cmd_check)
 
@@ -600,17 +604,15 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd = sub.add_parser(
         "explore", help="enumerate every interleaving of small programs"
     )
-    explore_cmd.add_argument("--threads", type=int, default=2)
-    explore_cmd.add_argument("--ops", type=int, default=2)
+    explore_cmd.add_argument("--threads", type=count, default=2)
+    explore_cmd.add_argument("--ops", type=count, default=2)
     explore_cmd.add_argument("-v", "--verbose", action="store_true")
     explore_cmd.set_defaults(func=cmd_explore)
 
     bench = sub.add_parser("bench", help="throughput matrix, CSV on stdout")
     bench.add_argument("--impls", default="relaxed,baseline")
-    bench.add_argument("--threads", default="1,2,4")
-    bench.add_argument("-n", "--ops-per-thread", type=int, default=10000)
-    bench.add_argument("--push-ratio", type=float, default=0.5)
-    bench.add_argument("--value-range", type=int, default=100)
+    bench.add_argument("--threads", type=counts, default=[1, 2, 4])
+    bench.add_argument("-n", "--ops-per-thread", type=count, default=10000)
     bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(func=cmd_bench)
 

@@ -25,21 +25,36 @@ The numbered lines referenced by step traces:
                                     26      top.cas(t, t.next)
 
 Shared-memory actions carry the labels 3/16 (top loads), 4/20 (flag
-reads), 21 (the flag write) and 6/10/22/25 (top compare-and-sets); the
-other lines are private control flow.  An instrumented run emits one step
-event per shared action, just after the action.  Another thread can act
-between an action and its event, so step events are not guaranteed to be
-in the order the actions took effect.
+reads), 21 (the flag write) and 6/10/22/25 (top compare-and-sets); line 17
+is a private test of the register loaded at 16 (PRIVATE_LINES).
+
+The algorithm is written twice here, since the live path measured slower
+draining generators, and tests/test_differential.py pins the two texts to
+each other.  RelaxedStack.push/pop are the fast path the threads run: an
+instrumented run calls its trace just after each labelled line's action,
+and since another thread can act in between, trace calls need not come
+in the order the actions took effect.  push_steps/pop_steps are the same
+loops as generators, which the simulator steps: each yields a label just
+before the line's action, so a paused generator sits at the line its
+thread runs next.  A slot resumes one for one shared action, running on
+through private lines, so a fresh operation takes the slots
+
+    push:  [inv, 3] -> [4] -> [6, res] with retries via [10] or a failed [6]
+    pop:   [inv, 16, 17, res-empty]  or  [inv, 16, 17] -> [20] -> [21]
+           -> [22, res], with [25] -> [16, 17] on a deleted top
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Generator, Optional, Union
 
 from .elements import EMPTY, Element, PushIdSource, _Empty
 
 Trace = Callable[[int], None]
+
+# Labels that take no shared action: a scheduled slot runs on through them.
+PRIVATE_LINES = frozenset({17})
 
 
 class AtomicReference:
@@ -220,3 +235,41 @@ class RelaxedStack:
     def _record_violation(self, message: str) -> None:
         with self._violations_lock:
             self._violations.append(message)
+
+
+# -- the algorithm as steps ----------------------------------------------------
+
+
+def push_steps(top: AtomicReference, node) -> Generator[int, None, bool]:
+    """push(node.element), yielding each line's label before its action."""
+    while True:
+        yield 3
+        t = top.get()
+        yield 4
+        if t is None or not t.elim:
+            yield 6
+            node.next = t  # private until the swing publishes it: one slot
+            if top.compare_and_set(t, node):
+                return True
+        else:
+            yield 10
+            top.compare_and_set(t, t.next)
+
+
+def pop_steps(top: AtomicReference) -> Generator[int, None, Union[Element, _Empty]]:
+    """pop(), yielding each line's label before its action."""
+    while True:
+        yield 16
+        t = top.get()
+        yield 17
+        if t is None:
+            return EMPTY
+        yield 20
+        if not t.elim:
+            yield 21
+            t.elim = True
+            yield 22
+            top.compare_and_set(t, t.next)
+            return t.element
+        yield 25
+        top.compare_and_set(t, t.next)

@@ -1,42 +1,44 @@
-"""Deterministic interpreter for the relaxed stack under chosen schedules.
+"""Deterministic runs of the relaxed stack under chosen schedules.
 
-The simulator runs the same numbered algorithm as the live stack (see the
-relaxed_stack docstring) over an explicit shared state, so a schedule,
-replayed twice, yields byte-identical histories.  One scheduled slot is
-one shared-memory action (a top load, a flag read, the flag write, or a
-compare-and-set) plus the private bookkeeping around it: invocations fuse
-into the first action of an operation, returns into its last, and the
-empty test of line 17 into the load that feeds it.  Shared actions are
-never fused with each other, so every interleaving of shared actions is a
-reachable schedule.  A fresh operation therefore enters at:
+The simulator steps the stack's own algorithm text, the push_steps and
+pop_steps generators of relaxed_stack, over the memory of a checked
+RelaxedStack.  One scheduled slot resumes a thread for exactly one
+shared-memory action plus the private work around it: an invocation
+fuses into its operation's first action, a return into its last, and a
+private line into the action before it (relaxed_stack lists the slots of
+each operation).  Shared actions are never fused with each other, so
+every interleaving of shared actions is a reachable schedule.
 
-    push:  [inv, 3] -> [4] -> [6, res] with retries via [10] or a failed [6]
-    pop:   [inv, 16, 17, res-empty]  or  [inv, 16, 17] -> [20] -> [21]
-           -> [22, res], with [25] -> [16, 17] on a deleted top
+A run is the schedule taken so far, its memory and one generator per busy
+thread.  Generators cannot be copied, so a run branches the way stateless
+model checkers do (CHESS, Musuvathi et al., OSDI 2008): a branch rebuilds
+the memory and replays its schedule from the root.  The replayed prefix
+emits no events and is not re-checked, both done when its slots were first
+taken; the explorer copies the prefix's events into each run it yields.
+A schedule, replayed twice, yields byte-identical histories.
 
-Nodes live in an arena indexed by creation order; node references in the
-top cell and thread registers are arena indices, so compare-and-set is
-exact identity.  Histories produced here open with a provenance prologue:
-a sequential run (process 0) that builds the initial memory, pushing each
-seeded element and immediately popping the ones seeded as deleted.  The
-prologue makes the emitted history self-contained, so the checker can
-consume it without being told about the seed.
+Histories produced here open with a provenance prologue: a sequential run
+(process 0) that builds the initial memory, pushing each seeded element
+and immediately popping the ones seeded as deleted.  The prologue makes
+the emitted history self-contained, so the checker can consume it
+without being told about the seed.
 
-Every step re-checks two invariants on the new state: a deletion flag
-never goes back to False and the reachable chain is acyclic; violations
-raise instead of propagating silently.
+Every newly taken slot re-checks two invariants, both kept by the checked
+stack itself: its guarded nodes report a deletion flag going back to
+False, and its walk of the chain from the top reports a cycle.  Either
+raises SimulationInvariantError instead of propagating silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence, Union
+import inspect
+from contextlib import suppress
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .elements import EMPTY, Element, _Empty
 from .history import Event, EventKind, History, OpName, Payload
-
-PUSH_ENTRY_PC = 3
-POP_ENTRY_PC = 16
+from .relaxed_stack import PRIVATE_LINES, RelaxedStack, pop_steps, push_steps
 
 
 class ScheduleError(Exception):
@@ -94,195 +96,154 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ArenaNode:
-    element: Element
-    next: Optional[int]
-    elim: bool
-
-
-@dataclass(frozen=True)
-class ThreadState:
-    """pc is the numbered line the thread executes next; None means idle.
-    t and x are the register copies of the algorithm: arena indices,
-    with None standing for the empty marker."""
-
-    pc: Optional[int] = None
-    op_index: int = 0
-    t: Optional[int] = None
-    x: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class SimConfig:
-    arena: tuple[ArenaNode, ...]
-    top: Optional[int]
-    threads: tuple[ThreadState, ...]
+    """An immutable snapshot of a run between two slots.
+
+    nodes holds every node the run has made, in the order made, as
+    (element, element its next link points at, deletion flag); top is the
+    top node's element.  threads holds, per thread, (line, op index,
+    registers): line is the label the thread executes next (None when
+    idle) and registers are its generator's locals as (name, element)
+    pairs, None standing for the empty marker.  schedule is the run's
+    slots so far; replaying it rebuilds the run.
+    """
+
+    schedule: tuple[int, ...]
+    top: Optional[Element]
+    nodes: tuple[tuple[Element, Optional[Element], bool], ...]
+    threads: tuple[tuple[Optional[int], int, tuple[tuple[str, Optional[Element]], ...]], ...]
 
 
-def initial_config(scenario: Scenario) -> SimConfig:
-    arena = []
-    for index, (element, elim) in enumerate(scenario.initial_memory):
-        arena.append(ArenaNode(element, index - 1 if index else None, elim))
-    top = len(arena) - 1 if arena else None
-    threads = tuple(ThreadState() for _ in scenario.programs)
-    return SimConfig(tuple(arena), top, threads)
+class _Thread:
+    __slots__ = ("program", "op_index", "steps", "line")
+
+    def __init__(self, program: tuple[PlannedOp, ...]) -> None:
+        self.program = program
+        self.op_index = 0
+        self.steps = None  # the current operation's generator; None when idle
+        self.line: Optional[int] = None
+
+
+class Run:
+    """One run in flight: a checked stack memory seeded with the
+    scenario's initial memory, and one generator per busy thread.  The
+    given schedule (1-based) is replayed first, silently and unchecked."""
+
+    def __init__(self, scenario: Scenario, schedule: Sequence[int] = ()) -> None:
+        self.stack = RelaxedStack(checked=True)
+        self._top = self.stack._top
+        self.nodes = []  # every node made, in the order made
+        top = None
+        for element, deleted in scenario.initial_memory:
+            below, top = top, self._new_node(element)
+            top.next, top.elim = below, deleted
+        self._top.compare_and_set(None, top)
+        self.threads = [_Thread(program) for program in scenario.programs]
+        self.schedule: list[int] = []
+        for entry in schedule:
+            self._slot(entry - 1, None)
+
+    def _new_node(self, element: Element):
+        node = self.stack._new_node(element)
+        self.nodes.append(node)
+        return node
+
+    def enabled(self) -> list[int]:
+        """0-based threads with an operation in flight or still to start."""
+        return [
+            i
+            for i, thread in enumerate(self.threads)
+            if thread.steps is not None or thread.op_index < len(thread.program)
+        ]
+
+    def take(self, thread: int, events: Optional[list[Event]] = None) -> None:
+        """Run one slot of the 0-based thread, appending its events to events
+        (seq-stamped by position), then check the memory's invariants."""
+        if not 0 <= thread < len(self.threads):
+            raise ScheduleError(f"no thread {thread + 1}")
+        state = self.threads[thread]
+        if state.steps is None and state.op_index >= len(state.program):
+            raise ScheduleError(f"thread {thread + 1} has no operations left")
+        self._slot(thread, events)
+        with suppress(RuntimeError):  # the walk records a cycle as a violation
+            self.stack._walk()
+        violations = self.stack.invariant_violations
+        if violations:
+            raise SimulationInvariantError("; ".join(violations))
+
+    def _slot(self, thread: int, events: Optional[list[Event]]) -> None:
+        state = self.threads[thread]
+        op = state.program[state.op_index]
+        process = thread + 1
+        if state.steps is None:
+            if events is not None:
+                events.append(
+                    Event(len(events), process, op.op_id, EventKind.INVOCATION, op.name, op.element)
+                )
+            if op.name is OpName.PUSH:
+                # One node per push, made up front; retries relink it.
+                state.steps = push_steps(self._top, self._new_node(op.element))
+            else:
+                state.steps = pop_steps(self._top)
+            state.line = next(state.steps)
+        line = state.line
+        try:
+            while True:
+                if events is not None:
+                    events.append(Event(len(events), process, op.op_id, EventKind.STEP, op.name, line))
+                line = next(state.steps)
+                if line not in PRIVATE_LINES:
+                    break
+        except StopIteration as done:
+            if events is not None:
+                events.append(
+                    Event(len(events), process, op.op_id, EventKind.RESPONSE, op.name, done.value)
+                )
+            state.op_index += 1
+            state.steps = state.line = None
+        else:
+            state.line = line
+        self.schedule.append(process)
+
+    def config(self) -> SimConfig:
+        def ref(node) -> Optional[Element]:
+            return None if node is None else node.element
+
+        threads = tuple(
+            (
+                state.line,
+                state.op_index,
+                ()
+                if state.steps is None
+                else tuple(
+                    (name, ref(value))
+                    for name, value in inspect.getgeneratorlocals(state.steps).items()
+                    if value is not self._top  # the shared cell, not a register
+                ),
+            )
+            for state in self.threads
+        )
+        return SimConfig(
+            schedule=tuple(self.schedule),
+            top=ref(self._top.get()),
+            nodes=tuple((node.element, ref(node.next), node.elim) for node in self.nodes),
+            threads=threads,
+        )
 
 
 def thread_enabled(scenario: Scenario, config: SimConfig, thread: int) -> bool:
-    state = config.threads[thread]
-    return state.pc is not None or state.op_index < len(scenario.programs[thread])
-
-
-def finished(scenario: Scenario, config: SimConfig) -> bool:
-    return not any(thread_enabled(scenario, config, i) for i in range(len(config.threads)))
-
-
-# ---------------------------------------------------------------------------
-# Stepping
-# ---------------------------------------------------------------------------
-
-
-def step(
-    scenario: Scenario, config: SimConfig, thread: int, seq: int
-) -> tuple[SimConfig, tuple[Event, ...]]:
-    """Run one slot of the given 0-based thread.  Returns the new
-    configuration and the events the slot emitted, seq-stamped from seq."""
-    if not 0 <= thread < len(config.threads):
-        raise ScheduleError(f"no thread {thread + 1}")
-    state = config.threads[thread]
-    program = scenario.programs[thread]
-    if state.pc is None and state.op_index >= len(program):
-        raise ScheduleError(f"thread {thread + 1} has no operations left")
-    op = program[state.op_index]
-    process = thread + 1
-
-    events: list[Event] = []
-
-    def emit(kind: EventKind, payload: Payload) -> None:
-        events.append(Event(seq + len(events), process, op.op_id, kind, op.name, payload))
-
-    arena = config.arena
-    top = config.top
-    pc = state.pc
-
-    if pc is None and op.name is OpName.PUSH:
-        # A push allocates its node once, up front; retries relink the same
-        # node, mirroring the single x of the algorithm.
-        emit(EventKind.INVOCATION, op.element)
-        assert op.element is not None
-        arena = arena + (ArenaNode(op.element, None, False),)
-        state = replace(state, x=len(arena) - 1)
-        pc = PUSH_ENTRY_PC
-
-    if pc is None or pc == POP_ENTRY_PC:
-        if pc is None:
-            emit(EventKind.INVOCATION, None)
-        state = replace(state, t=top)
-        emit(EventKind.STEP, 16)
-        emit(EventKind.STEP, 17)
-        if top is None:
-            emit(EventKind.RESPONSE, EMPTY)
-            state = ThreadState(op_index=state.op_index + 1)
-        else:
-            state = replace(state, pc=20)
-    elif pc == PUSH_ENTRY_PC:
-        state = replace(state, t=top)
-        emit(EventKind.STEP, 3)
-        state = replace(state, pc=4)
-    elif pc == 4:
-        deleted = state.t is not None and arena[state.t].elim
-        emit(EventKind.STEP, 4)
-        state = replace(state, pc=10 if deleted else 6)
-    elif pc == 6:
-        assert state.x is not None
-        arena = _with_node(arena, state.x, replace(arena[state.x], next=state.t))
-        emit(EventKind.STEP, 6)
-        if top == state.t:
-            top = state.x
-            emit(EventKind.RESPONSE, True)
-            state = ThreadState(op_index=state.op_index + 1)
-        else:
-            state = replace(state, pc=PUSH_ENTRY_PC)
-    elif pc == 10:
-        assert state.t is not None
-        if top == state.t:
-            top = arena[state.t].next
-        emit(EventKind.STEP, 10)
-        state = replace(state, pc=PUSH_ENTRY_PC)
-    elif pc == 20:
-        assert state.t is not None
-        deleted = arena[state.t].elim
-        emit(EventKind.STEP, 20)
-        state = replace(state, pc=25 if deleted else 21)
-    elif pc == 21:
-        assert state.t is not None
-        arena = _with_node(arena, state.t, replace(arena[state.t], elim=True))
-        emit(EventKind.STEP, 21)
-        state = replace(state, pc=22)
-    elif pc == 22:
-        assert state.t is not None
-        if top == state.t:  # one attempt, outcome ignored
-            top = arena[state.t].next
-        emit(EventKind.STEP, 22)
-        emit(EventKind.RESPONSE, arena[state.t].element)
-        state = ThreadState(op_index=state.op_index + 1)
-    elif pc == 25:
-        assert state.t is not None
-        if top == state.t:
-            top = arena[state.t].next
-        emit(EventKind.STEP, 25)
-        state = replace(state, pc=POP_ENTRY_PC)
-    else:
-        raise ScheduleError(f"thread {thread + 1} at impossible pc {pc}")
-
-    threads = config.threads[:thread] + (state,) + config.threads[thread + 1 :]
-    new_config = SimConfig(arena, top, threads)
-    _check_step_invariants(config, new_config)
-    return new_config, tuple(events)
-
-
-def _with_node(
-    arena: tuple[ArenaNode, ...], index: int, node: ArenaNode
-) -> tuple[ArenaNode, ...]:
-    return arena[:index] + (node,) + arena[index + 1 :]
-
-
-def _check_step_invariants(before: SimConfig, after: SimConfig) -> None:
-    for old, new in zip(before.arena, after.arena):
-        if old.elim and not new.elim:
-            raise SimulationInvariantError(
-                f"deletion flag of {old.element} went back to False"
-            )
-    chain_indices(after)  # raises on a cycle
-
-
-def chain_indices(config: SimConfig) -> list[int]:
-    """Arena indices reachable from top, top first.  Raises on a cycle."""
-    indices = []
-    seen = set()
-    node = config.top
-    while node is not None:
-        if node in seen:
-            raise SimulationInvariantError(
-                f"reachable chain has a cycle at {config.arena[node].element}"
-            )
-        seen.add(node)
-        indices.append(node)
-        node = config.arena[node].next
-    return indices
+    line, op_index, _ = config.threads[thread]
+    return line is not None or op_index < len(scenario.programs[thread])
 
 
 def memory_of(config: SimConfig) -> list[tuple[Element, bool]]:
-    """(element, deleted) for each reachable node, deepest first."""
-    return [
-        (config.arena[i].element, config.arena[i].elim)
-        for i in reversed(chain_indices(config))
-    ]
-
-
-def logical_of(config: SimConfig) -> tuple[Element, ...]:
-    """Undeleted reachable elements, deepest first."""
-    return tuple(e for e, elim in memory_of(config) if not elim)
+    """(element, deleted) for each node reachable from top, deepest first."""
+    links = {element: (below, deleted) for element, below, deleted in config.nodes}
+    chain, element = [], config.top
+    while element is not None:
+        chain.append((element, links[element][1]))
+        element = links[element][0]
+    return chain[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +279,6 @@ def prologue_events(scenario: Scenario) -> list[Event]:
 @dataclass(frozen=True)
 class ScenarioResult:
     history: History
-    config: SimConfig
     returns: tuple[tuple[Payload, ...], ...]  # per thread, in program order
     logical: tuple[Element, ...]
     memory: tuple[tuple[Element, bool], ...]
@@ -328,20 +288,18 @@ def replay_scenario(scenario: Scenario) -> ScenarioResult:
     """Run the scenario's schedule to its end and package the outcome."""
     if scenario.schedule is None:
         raise ValueError("scenario has no schedule to replay")
-    config = initial_config(scenario)
+    run = Run(scenario)
     events = prologue_events(scenario)
     for slot, entry in enumerate(scenario.schedule):
-        if not 1 <= entry <= len(config.threads):
+        if not 1 <= entry <= len(run.threads):
             raise ScheduleError(f"schedule slot {slot + 1} names thread {entry}")
-        config, emitted = step(scenario, config, entry - 1, len(events))
-        events.extend(emitted)
+        run.take(entry - 1, events)
     history = History(tuple(events))
     return ScenarioResult(
         history=history,
-        config=config,
         returns=_returns_by_thread(scenario, history),
-        logical=logical_of(config),
-        memory=tuple(memory_of(config)),
+        logical=run.stack.logical_state(),
+        memory=tuple(run.stack.memory_snapshot()),
     )
 
 
@@ -411,80 +369,69 @@ def _expectation_text(want: Expectation) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExploredRun:
+class ExploredRun(NamedTuple):
     schedule: tuple[int, ...]
     history: History
-    config: SimConfig
 
 
 def explore(scenario: Scenario, max_steps: int = 500) -> Iterator[ExploredRun]:
     """Depth-first enumeration of every schedule of the scenario, yielding
     one finished run per interleaving, in deterministic order (lowest
-    thread index first at every branch)."""
-    prologue = prologue_events(scenario)
-    events: list[Event] = list(prologue)
-    schedule: list[int] = []
-
-    def walk(config: SimConfig) -> Iterator[ExploredRun]:
-        enabled = [
-            i for i in range(len(config.threads)) if thread_enabled(scenario, config, i)
-        ]
-        if not enabled:
-            yield ExploredRun(tuple(schedule), History(tuple(events)), config)
+    thread index first at every branch).  The first branch at each point
+    carries the run on; each other one replays its prefix from the root."""
+    events: list[Event] = prologue_events(scenario)
+    run = Run(scenario)
+    branches: list[tuple[tuple[int, ...], int, int]] = []  # (prefix, events mark, thread)
+    while True:
+        enabled = run.enabled()
+        if enabled:
+            if len(run.schedule) >= max_steps:
+                raise ExplorationTruncated(
+                    f"run exceeded {max_steps} slots at schedule {tuple(run.schedule)}"
+                )
+            if len(enabled) > 1:
+                prefix = tuple(run.schedule)
+                branches.extend((prefix, len(events), i) for i in reversed(enabled[1:]))
+            run.take(enabled[0], events)
+            continue
+        yield ExploredRun(tuple(run.schedule), History(tuple(events)))
+        if not branches:
             return
-        if len(schedule) >= max_steps:
-            raise ExplorationTruncated(
-                f"run exceeded {max_steps} slots at schedule {tuple(schedule)}"
-            )
-        for i in enabled:
-            next_config, emitted = step(scenario, config, i, len(events))
-            events.extend(emitted)
-            schedule.append(i + 1)
-            yield from walk(next_config)
-            del events[len(events) - len(emitted) :]
-            schedule.pop()
-
-    yield from walk(initial_config(scenario))
+        prefix, mark, thread = branches.pop()
+        del events[mark:]
+        run = Run(scenario, prefix)
+        run.take(thread, events)
 
 
 def reachable_configs(scenario: Scenario) -> Iterator[SimConfig]:
     """Every distinct configuration any schedule can reach, each once.
 
-    Distinctness is modulo arena numbering: configurations are keyed by
-    which elements sit where, not by node creation order, so runs that
-    allocate in a different order collapse together.  Runs always bottom
-    out: flags only ever get set, the arena only grows, and a retry needs
-    somebody else's successful swing, of which there are finitely many.
+    Distinctness is modulo schedule: configurations are keyed by which
+    elements sit where and what each thread holds, so runs that reach the
+    same state by different schedules collapse together.  Runs always
+    bottom out: flags only ever get set, nodes are only ever added, and a
+    retry needs somebody else's successful swing, of which there are
+    finitely many.
     """
     seen: set = set()
 
-    def walk(config: SimConfig) -> Iterator[SimConfig]:
+    def walk(run: Run) -> Iterator[SimConfig]:
+        config = run.config()
         key = config_key(config)
         if key in seen:
             return
         seen.add(key)
         yield config
-        for i in range(len(config.threads)):
-            if thread_enabled(scenario, config, i):
-                next_config, _ = step(scenario, config, i, 0)
-                yield from walk(next_config)
+        for branch, thread in enumerate(run.enabled()):
+            child = Run(scenario, config.schedule) if branch else run
+            child.take(thread)
+            yield from walk(child)
 
-    yield from walk(initial_config(scenario))
+    yield from walk(Run(scenario))
 
 
 def config_key(config: SimConfig):
-    def ref(index: Optional[int]) -> Optional[Element]:
-        return None if index is None else config.arena[index].element
-
-    nodes = frozenset(
-        (node.element, ref(node.next), node.elim) for node in config.arena
-    )
-    threads = tuple(
-        (state.pc, state.op_index, ref(state.t), ref(state.x))
-        for state in config.threads
-    )
-    return nodes, ref(config.top), threads
+    return frozenset(config.nodes), config.top, config.threads
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +458,23 @@ def progress_probe(
     round robin.  Each other thread must finish its current operation (or
     its next, if idle) within the given number of its own slots; no steps
     of the frozen thread are ever taken."""
-    targets = {}
-    for i in range(len(config.threads)):
-        if i == stalled:
-            continue
-        if thread_enabled(scenario, config, i):
-            targets[i] = config.threads[i].op_index + 1
+    run = Run(scenario, config.schedule)
+    targets = {
+        i: run.threads[i].op_index + 1 for i in run.enabled() if i != stalled
+    }
     used = {i: 0 for i in targets}
     failures = []
     active = sorted(targets)
     while active:
         for i in list(active):
-            if config.threads[i].op_index >= targets[i]:
+            if run.threads[i].op_index >= targets[i]:
                 active.remove(i)
                 continue
             if used[i] >= budget:
                 failures.append(i)
                 active.remove(i)
                 continue
-            config, _ = step(scenario, config, i, 0)
+            run.take(i)
             used[i] += 1
     return ProbeReport(
         stalled=stalled,
@@ -548,7 +493,7 @@ def probe_budget(config: SimConfig, slack: int = 6) -> int:
     its swing and the chain holds a deleted top with nothing live behind
     it, yet a fresh push still needs a failed swing, a reread, a help and
     a retry before it lands."""
-    return slack * (len(chain_indices(config)) + 1)
+    return slack * (len(memory_of(config)) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional
 
 from multistack.elements import EMPTY, Element
 from multistack.history import Event, EventKind, History, OpName
-from multistack.simulator import PlannedOp, Scenario, initial_config, step, thread_enabled
+from multistack.simulator import PlannedOp, Run, Scenario
 
 
 def build_history(script) -> History:
@@ -151,16 +151,10 @@ def random_simulated_history(rng: random.Random, max_ops: int = 8) -> History:
                 program.append(PlannedOp(op_id, OpName.POP))
         programs.append(tuple(program))
     scenario = Scenario(programs=tuple(programs))
-    config = initial_config(scenario)
+    run = Run(scenario)
     events: list[Event] = []
-    while True:
-        enabled = [
-            i for i in range(len(config.threads)) if thread_enabled(scenario, config, i)
-        ]
-        if not enabled:
-            break
-        config, emitted = step(scenario, config, rng.choice(enabled), len(events))
-        events.extend(emitted)
+    while enabled := run.enabled():
+        run.take(rng.choice(enabled), events)
     return History(tuple(events))
 
 

@@ -420,8 +420,6 @@ def test_single_thread_throughput_is_comparable():
         impls=("relaxed", "baseline"),
         thread_counts=(1,),
         ops_per_thread=20000,
-        push_ratio=0.5,
-        value_range=100,
         seed=1,
     )
     seconds = {row.impl: row.seconds for row in rows}
@@ -453,6 +451,40 @@ def test_env_seed_must_be_an_integer(monkeypatch, capsys):
         main(["stress", "-t", "1", "-n", "1"])
     assert info.value.code == 2
     assert "STACK_SEED" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# size options
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--threads", "1,x"], "--threads: not an integer: 'x'"),
+        (["bench", "--threads="], "--threads: not an integer: ''"),
+        (["bench", "-n", "-1"], "--ops-per-thread: must not be negative: -1"),
+        (["explore", "--threads", "-1"], "--threads: must not be negative: -1"),
+        (["explore", "--ops", "two"], "--ops: not an integer: 'two'"),
+        (["stress", "-t", "-1"], "--threads: must not be negative: -1"),
+        (["stress", "-n", "1.5"], "--ops-per-thread: not an integer: '1.5'"),
+        (["check", "h.history", "--max-ops", "-1"], "--max-ops: must not be negative: -1"),
+    ],
+)
+def test_bad_counts_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_zero_counts_still_run(tmp_path, capsys):
+    assert main(["stress", "-t", "0", "-o", str(tmp_path / "none.history")]) == 0
+    assert "total_ops=0" in capsys.readouterr().out
+    assert main(["explore", "--ops", "0"]) == 0
+    assert "interleavings=1 " in capsys.readouterr().out
+    assert main(["bench", "-n", "0", "--threads", "0"]) == 0
 
 
 # ---------------------------------------------------------------------------

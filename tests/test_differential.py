@@ -1,0 +1,140 @@
+"""The live fast path against the generator text the simulator steps.
+
+RelaxedStack.push/pop run on real threads, each parked in its trace hook
+after every shared action, and are released one thread per slot in the
+order of a schedule the simulator drew.  Both texts must then agree on
+every thread's returns and line sequence and on the final memory.
+"""
+
+from __future__ import annotations
+
+import random
+import threading
+
+import pytest
+
+from multistack.elements import Element
+from multistack.history import EventKind, OpName
+from multistack.simulator import (
+    PlannedOp,
+    Run,
+    Scenario,
+    load_bundled_fixture,
+    replay_scenario,
+)
+
+TIMEOUT = 5.0
+SCENARIOS = 400
+
+
+class _Parking:
+    """One live thread's slot gate and what it observed."""
+
+    def __init__(self) -> None:
+        self.go = threading.Semaphore(0)
+        self.parked = threading.Semaphore(0)
+        self.lines: list[int] = []
+        self.returns: list = []
+
+
+def run_live(scenario: Scenario, schedule):
+    """Run the scenario's programs on the fast path, one slot per schedule
+    entry.  Returns per-thread lines, per-thread returns, final memory."""
+    stack = Run(scenario).stack  # the simulator's seeded memory, untouched
+    free = threading.Event()
+    parkings = [_Parking() for _ in scenario.programs]
+
+    def worker(parking: _Parking, program) -> None:
+        def hook(line: int) -> None:
+            parking.lines.append(line)
+            # The load at 16 shares its slot with the test at 17.
+            if line != 16 and not free.is_set():
+                parking.parked.release()
+                parking.go.acquire(timeout=TIMEOUT)
+
+        parking.go.acquire(timeout=TIMEOUT)
+        for op in program:
+            if op.name is OpName.PUSH:
+                parking.returns.append(stack.push(op.element, trace=hook))
+            else:
+                parking.returns.append(stack.pop(trace=hook))
+        parking.parked.release()
+
+    threads = [
+        threading.Thread(target=worker, args=(parking, program), daemon=True)
+        for parking, program in zip(parkings, scenario.programs)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        for slot, entry in enumerate(schedule):
+            parking = parkings[entry - 1]
+            parking.go.release()
+            assert parking.parked.acquire(timeout=TIMEOUT), f"slot {slot + 1} never parked"
+    finally:
+        free.set()  # what is left of each operation is private work
+        for parking in parkings:
+            parking.go.release()
+        for thread in threads:
+            thread.join(TIMEOUT)
+    assert not any(thread.is_alive() for thread in threads)
+    return (
+        [parking.lines for parking in parkings],
+        [parking.returns for parking in parkings],
+        stack.memory_snapshot(),
+    )
+
+
+def simulated(run: Run, events) -> tuple:
+    lines = [[] for _ in run.threads]
+    returns = [[] for _ in run.threads]
+    for event in events:
+        if event.kind is EventKind.STEP:
+            lines[event.process - 1].append(event.payload)
+        elif event.kind is EventKind.RESPONSE:
+            returns[event.process - 1].append(event.payload)
+    return lines, returns, run.stack.memory_snapshot()
+
+
+def random_scenario(rng: random.Random) -> Scenario:
+    memory = tuple(
+        (Element(rng.randint(1, 9), push_id), rng.random() < 0.4)
+        for push_id in range(1, rng.randint(0, 3) + 1)
+    )
+    next_id = len(memory) + 1
+    op_id = sum(2 if deleted else 1 for _, deleted in memory)
+    programs = []
+    for _ in range(rng.randint(2, 3)):
+        program = []
+        for _ in range(rng.randint(1, 2)):
+            op_id += 1
+            if rng.random() < 0.5:
+                program.append(PlannedOp(op_id, OpName.PUSH, Element(rng.randint(1, 9), next_id)))
+                next_id += 1
+            else:
+                program.append(PlannedOp(op_id, OpName.POP))
+        programs.append(tuple(program))
+    return Scenario(initial_memory=memory, programs=tuple(programs))
+
+
+def test_fast_path_follows_the_generator_text_on_random_schedules():
+    rng = random.Random(20260518)
+    for index in range(SCENARIOS):
+        scenario = random_scenario(rng)
+        run = Run(scenario)
+        events = []
+        while enabled := run.enabled():
+            run.take(rng.choice(enabled), events)
+        live = run_live(scenario, run.schedule)
+        assert live == simulated(run, events), (
+            f"scenario {index}: {scenario}, schedule {tuple(run.schedule)}"
+        )
+
+
+@pytest.mark.parametrize("name", ["shared_pop", "helped_pop", "push_race", "push_helps"])
+def test_fast_path_replays_the_bundled_fixtures(name):
+    scenario = load_bundled_fixture(name)
+    result = replay_scenario(scenario)
+    _, returns, memory = run_live(scenario, scenario.schedule)
+    assert tuple(map(tuple, returns)) == result.returns
+    assert tuple(memory) == result.memory

@@ -11,30 +11,23 @@ from multistack.checker import check_linearizable, check_set_linearizable
 from multistack.elements import EMPTY, Element
 from multistack.history import EventKind, OpName, dumps
 from multistack.simulator import (
-    ArenaNode,
     ExplorationTruncated,
     FixtureFormatError,
     PlannedOp,
+    Run,
     Scenario,
     ScheduleError,
     SimConfig,
     SimulationInvariantError,
-    ThreadState,
-    _check_step_invariants,
-    chain_indices,
     config_key,
     explore,
-    finished,
-    initial_config,
     load_bundled_fixture,
-    logical_of,
     memory_of,
     parse_fixture,
     probe_budget,
     progress_probe,
     prologue_events,
     replay_scenario,
-    step,
     thread_enabled,
 )
 from multistack.spec_machine import ClassKind
@@ -53,12 +46,11 @@ def pop_only_scenario(threads: int, pops_each: int, memory=()) -> Scenario:
 
 
 def run_schedule(scenario: Scenario, entries):
-    config = initial_config(scenario)
+    run = Run(scenario)
     events = []
     for entry in entries:
-        config, emitted = step(scenario, config, entry - 1, len(events))
-        events.extend(emitted)
-    return config, events
+        run.take(entry - 1, events)
+    return run.config(), events
 
 
 def shapes(events):
@@ -81,21 +73,25 @@ def test_initial_config_chains_seeded_memory():
     scenario = pop_only_scenario(
         1, 1, memory=((Element(17, 1), False), (Element(11, 2), True), (Element(7, 3), False))
     )
-    config = initial_config(scenario)
-    assert config.top == 2
-    assert [n.next for n in config.arena] == [None, 0, 1]
-    assert [n.elim for n in config.arena] == [False, True, False]
+    run = Run(scenario)
+    config = run.config()
+    assert config.top == Element(7, 3)
+    assert config.nodes == (
+        (Element(17, 1), None, False),
+        (Element(11, 2), Element(17, 1), True),
+        (Element(7, 3), Element(11, 2), False),
+    )
     assert memory_of(config) == [
         (Element(17, 1), False),
         (Element(11, 2), True),
         (Element(7, 3), False),
     ]
-    assert logical_of(config) == (Element(17, 1), Element(7, 3))
+    assert run.stack.logical_state() == (Element(17, 1), Element(7, 3))
 
 
 def test_empty_initial_memory_has_no_top():
-    config = initial_config(pop_only_scenario(1, 1))
-    assert config.top is None and config.arena == ()
+    config = Run(pop_only_scenario(1, 1)).config()
+    assert config.top is None and config.nodes == ()
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +100,20 @@ def test_empty_initial_memory_has_no_top():
 
 
 def test_pop_on_empty_is_one_slot():
-    scenario = pop_only_scenario(1, 1)
-    config = initial_config(scenario)
-    config, events = step(scenario, config, 0, seq=10)
-    assert shapes(events) == [
+    run = Run(pop_only_scenario(2, 1))
+    events = []
+    run.take(0, events)
+    run.take(1, events)
+    assert shapes(events[4:]) == [
         (EventKind.INVOCATION, None),
         (EventKind.STEP, 16),
         (EventKind.STEP, 17),
         (EventKind.RESPONSE, EMPTY),
     ]
-    assert [e.seq for e in events] == [10, 11, 12, 13]
-    assert config.threads[0] == ThreadState(op_index=1)
-    assert finished(scenario, config)
+    assert [e.seq for e in events] == list(range(8))  # stamped by position
+    assert [e.process for e in events] == [1] * 4 + [2] * 4
+    assert run.config().threads == ((None, 1, ()), (None, 1, ()))
+    assert not run.enabled()
 
 
 def test_uncontended_pop_takes_four_slots():
@@ -131,12 +129,14 @@ def test_uncontended_pop_takes_four_slots():
         (EventKind.RESPONSE, Element(13, 1)),
     ]
     assert config.top is None
-    assert config.arena[0].elim
+    assert config.nodes == ((Element(13, 1), None, True),)
 
 
 def test_uncontended_push_takes_three_slots():
     element = Element(9, 1)
     scenario = Scenario(programs=((PlannedOp(1, OpName.PUSH, element),),))
+    # Paused before its swing, the thread holds its node and the top it read.
+    assert run_schedule(scenario, [1, 1])[0].threads == ((6, 0, (("node", element), ("t", None))),)
     config, events = run_schedule(scenario, [1, 1, 1])
     assert shapes(events) == [
         (EventKind.INVOCATION, element),
@@ -186,18 +186,18 @@ def test_losing_push_retries_with_the_same_node():
     ]
     assert t2_lines == [3, 4, 6, 3, 4, 6]
     assert memory_of(config) == [(a, False), (b, False)]
-    assert len(config.arena) == 2  # retry reuses the allocated node
+    assert len(config.nodes) == 2  # retry reuses the allocated node
 
 
 def test_schedule_errors():
     scenario = pop_only_scenario(1, 1)
-    config = initial_config(scenario)
+    run = Run(scenario)
     with pytest.raises(ScheduleError):
-        step(scenario, config, 3, 0)
-    done, _ = step(scenario, config, 0, 0)
+        run.take(3)
+    run.take(0)
     with pytest.raises(ScheduleError):
-        step(scenario, done, 0, 0)
-    assert not thread_enabled(scenario, done, 0)
+        run.take(0)
+    assert not thread_enabled(scenario, run.config(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +206,21 @@ def test_schedule_errors():
 
 
 def test_deletion_flag_regression_is_detected():
-    element = Element(5, 1)
-    before = SimConfig((ArenaNode(element, None, True),), 0, ())
-    after = SimConfig((ArenaNode(element, None, False),), 0, ())
-    with pytest.raises(SimulationInvariantError):
-        _check_step_invariants(before, after)
+    scenario = pop_only_scenario(1, 1, memory=((Element(5, 1), True), (Element(6, 2), False)))
+    run = Run(scenario)
+    run.take(0)
+    run.nodes[0].elim = False  # corrupt memory between two slots
+    with pytest.raises(SimulationInvariantError, match="elim flag of v:5#1 was reset"):
+        run.take(0)
 
 
 def test_chain_cycle_is_detected():
-    config = SimConfig(
-        (ArenaNode(Element(1, 1), 1, False), ArenaNode(Element(2, 2), 0, False)),
-        0,
-        (),
-    )
-    with pytest.raises(SimulationInvariantError):
-        chain_indices(config)
+    scenario = pop_only_scenario(1, 1, memory=((Element(1, 1), False), (Element(2, 2), False)))
+    run = Run(scenario)
+    run.take(0)
+    run.nodes[0].next = run.nodes[1]  # corrupt memory between two slots
+    with pytest.raises(SimulationInvariantError, match="cycle"):
+        run.take(0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_replay_is_deterministic():
     first = replay_scenario(scenario)
     second = replay_scenario(scenario)
     assert dumps(first.history) == dumps(second.history)
-    assert first.config == second.config
+    assert first.memory == second.memory
 
 
 def test_replayed_history_is_self_contained_for_the_checker():
@@ -455,12 +455,12 @@ def test_reachable_configs_match_schedule_prefixes():
 
     for scenario in scenarios:
         via_prefixes = set()
-        for run in explore(scenario):
-            config = initial_config(scenario)
-            via_prefixes.add(config_key(config))
-            for entry in run.schedule:
-                config, _ = step(scenario, config, entry - 1, 0)
-                via_prefixes.add(config_key(config))
+        for explored in explore(scenario):
+            run = Run(scenario)
+            via_prefixes.add(config_key(run.config()))
+            for entry in explored.schedule:
+                run.take(entry - 1)
+                via_prefixes.add(config_key(run.config()))
         via_walk = {config_key(c) for c in reachable_configs(scenario)}
         assert via_walk == via_prefixes
 
@@ -478,10 +478,7 @@ def test_reachable_configs_counts_a_straight_line_run():
 
 
 def freeze_point(scenario: Scenario, entries) -> SimConfig:
-    config = initial_config(scenario)
-    for entry in entries:
-        config, _ = step(scenario, config, entry - 1, 0)
-    return config
+    return Run(scenario, entries).config()
 
 
 def test_probe_completes_around_a_thread_frozen_before_its_write():
@@ -503,7 +500,7 @@ def test_probe_completes_around_a_thread_frozen_after_its_write():
 
 def test_probe_reports_a_missed_budget():
     scenario = pop_only_scenario(2, 1, memory=((Element(13, 1), False),))
-    config = initial_config(scenario)
+    config = Run(scenario).config()
     report = progress_probe(scenario, config, stalled=0, budget=0)
     assert report.failures == (1,)
     assert not report.all_completed
@@ -520,7 +517,7 @@ def test_probe_budget_counts_every_reachable_node():
     scenario = pop_only_scenario(
         1, 1, memory=((Element(1, 1), False), (Element(2, 2), True))
     )
-    config = initial_config(scenario)
+    config = Run(scenario).config()
     assert probe_budget(config) == 6 * 3  # deleted nodes cost help rounds too
     assert probe_budget(config, slack=2) == 2 * 3
-    assert probe_budget(initial_config(pop_only_scenario(1, 1))) == 6
+    assert probe_budget(Run(pop_only_scenario(1, 1)).config()) == 6
