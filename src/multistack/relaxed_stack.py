@@ -209,18 +209,25 @@ class RelaxedStack:
 
     @property
     def invariant_violations(self) -> list[str]:
+        """Violations recorded so far.  A checked stack also walks its chain
+        from top here, so a cycle as it stands now is reported too."""
         with self._violations_lock:
-            return list(self._violations)
+            violations = list(self._violations)
+        if self._checked:
+            try:
+                self._walk()
+            except RuntimeError as cycle:
+                violations.append(str(cycle))
+        return violations
 
     def _walk(self) -> list:
-        """Chase next pointers from top.  Published links never change, so
-        the walk sees a consistent chain even mid-run."""
+        """Chase next pointers from top; a cycle raises RuntimeError.  Published
+        links never change, so the walk sees a consistent chain even mid-run."""
         nodes = []
         seen: set[int] = set()
         node = self._top.get()
         while node is not None:
             if id(node) in seen:
-                self._record_violation(f"cycle through {node.element}")
                 raise RuntimeError(f"reachable chain has a cycle at {node.element}")
             seen.add(id(node))
             nodes.append(node)

@@ -23,16 +23,15 @@ and immediately popping the ones seeded as deleted.  The prologue makes
 the emitted history self-contained, so the checker can consume it
 without being told about the seed.
 
-Every newly taken slot re-checks two invariants, both kept by the checked
-stack itself: its guarded nodes report a deletion flag going back to
-False, and its walk of the chain from the top reports a cycle.  Either
-raises SimulationInvariantError instead of propagating silently.
+Every newly taken slot reads the checked stack's invariant violations:
+its guarded nodes record a deletion flag going back to False, and it
+walks its chain from the top for a cycle.  Either raises
+SimulationInvariantError instead of propagating silently.
 """
 
 from __future__ import annotations
 
 import inspect
-from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -115,11 +114,12 @@ class SimConfig:
 
 
 class _Thread:
-    __slots__ = ("program", "op_index", "steps", "line")
+    __slots__ = ("program", "op_index", "steps", "line", "returns")
 
     def __init__(self, program: tuple[PlannedOp, ...]) -> None:
         self.program = program
         self.op_index = 0
+        self.returns: list[Payload] = []  # finished operations' results
         self.steps = None  # the current operation's generator; None when idle
         self.line: Optional[int] = None
 
@@ -127,7 +127,8 @@ class _Thread:
 class Run:
     """One run in flight: a checked stack memory seeded with the
     scenario's initial memory, and one generator per busy thread.  The
-    given schedule (1-based) is replayed first, silently and unchecked."""
+    given schedule (1-based) is replayed first: no events, no invariant
+    checks, but each entry must still name a thread with work left."""
 
     def __init__(self, scenario: Scenario, schedule: Sequence[int] = ()) -> None:
         self.stack = RelaxedStack(checked=True)
@@ -159,20 +160,17 @@ class Run:
     def take(self, thread: int, events: Optional[list[Event]] = None) -> None:
         """Run one slot of the 0-based thread, appending its events to events
         (seq-stamped by position), then check the memory's invariants."""
-        if not 0 <= thread < len(self.threads):
-            raise ScheduleError(f"no thread {thread + 1}")
-        state = self.threads[thread]
-        if state.steps is None and state.op_index >= len(state.program):
-            raise ScheduleError(f"thread {thread + 1} has no operations left")
         self._slot(thread, events)
-        with suppress(RuntimeError):  # the walk records a cycle as a violation
-            self.stack._walk()
         violations = self.stack.invariant_violations
         if violations:
             raise SimulationInvariantError("; ".join(violations))
 
     def _slot(self, thread: int, events: Optional[list[Event]]) -> None:
+        if not 0 <= thread < len(self.threads):
+            raise ScheduleError(f"no thread {thread + 1}")
         state = self.threads[thread]
+        if state.steps is None and state.op_index >= len(state.program):
+            raise ScheduleError(f"thread {thread + 1} has no operations left")
         op = state.program[state.op_index]
         process = thread + 1
         if state.steps is None:
@@ -199,6 +197,7 @@ class Run:
                 events.append(
                     Event(len(events), process, op.op_id, EventKind.RESPONSE, op.name, done.value)
                 )
+            state.returns.append(done.value)
             state.op_index += 1
             state.steps = state.line = None
         else:
@@ -279,6 +278,7 @@ def prologue_events(scenario: Scenario) -> list[Event]:
 @dataclass(frozen=True)
 class ScenarioResult:
     history: History
+    config: SimConfig
     returns: tuple[tuple[Payload, ...], ...]  # per thread, in program order
     logical: tuple[Element, ...]
     memory: tuple[tuple[Element, bool], ...]
@@ -294,24 +294,12 @@ def replay_scenario(scenario: Scenario) -> ScenarioResult:
         if not 1 <= entry <= len(run.threads):
             raise ScheduleError(f"schedule slot {slot + 1} names thread {entry}")
         run.take(entry - 1, events)
-    history = History(tuple(events))
     return ScenarioResult(
-        history=history,
-        returns=_returns_by_thread(scenario, history),
+        history=History(tuple(events)),
+        config=run.config(),
+        returns=tuple(tuple(state.returns) for state in run.threads),
         logical=run.stack.logical_state(),
         memory=tuple(run.stack.memory_snapshot()),
-    )
-
-
-def _returns_by_thread(
-    scenario: Scenario, history: History
-) -> tuple[tuple[Payload, ...], ...]:
-    results = {
-        e.op_id: e.payload for e in history.events if e.kind is EventKind.RESPONSE
-    }
-    return tuple(
-        tuple(results.get(op.op_id) for op in program if op.op_id in results)
-        for program in scenario.programs
     )
 
 

@@ -200,6 +200,13 @@ def test_schedule_errors():
     assert not thread_enabled(scenario, run.config(), 0)
 
 
+def test_replayed_prefixes_reject_bad_entries_like_new_slots():
+    scenario = pop_only_scenario(1, 1)
+    for prefix in ((0,), (2,), (1, 1)):
+        with pytest.raises(ScheduleError):
+            Run(scenario, prefix)
+
+
 # ---------------------------------------------------------------------------
 # Per-step invariants
 # ---------------------------------------------------------------------------
@@ -292,7 +299,7 @@ def test_replay_is_deterministic():
     first = replay_scenario(scenario)
     second = replay_scenario(scenario)
     assert dumps(first.history) == dumps(second.history)
-    assert first.memory == second.memory
+    assert first.config == second.config
 
 
 def test_replayed_history_is_self_contained_for_the_checker():

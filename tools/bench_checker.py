@@ -6,18 +6,20 @@ Records one two-thread stress history per size (`multistack stress -t 2
 --seed 1`, 256 to 16,384 operations) with the working tree, then times
 `check_set_linearizable` on the same files with the package of the working
 tree ("after") and with that of the given revision ("before", unpacked by
-`git archive`).  Per size, each tree gets one interpreter (hash seed 0),
-capped at 2 GiB of address space and 300 s per check, so a checker that
-recurses too deeply, runs out of memory or stalls records that outcome
-instead of a time.  The two interpreters then check the file in rounds, one check each
-per round, alternating which goes first, so a change in the host's speed
-falls on both trees alike.  Rounds continue until each tree has spent 3 s
-checking (at least 3 rounds, at most 101), so short checks get many
-rounds; a check that fails or takes over 10 s ends the rounds.  Seconds
-are wall clock from the call to its outcome (a verdict or the error):
-the median and quartiles over the rounds, with the number of rounds the
-after tree was faster; `peak_rss_mb` is the interpreter's peak resident
-memory.
+`git archive`).  Every check runs in a fresh interpreter capped at 2 GiB
+of address space and 300 s, so a checker that recurses too deeply, runs
+out of memory or stalls records that outcome instead of a time, and an
+offset that lasts for one interpreter's life (its hash seed, where its
+memory landed) falls on one check only.  The trees check each file in
+rounds, one check each per round, alternating which goes first, so a
+change in the host's speed falls on both trees alike.  Rounds continue
+until each tree has spent 3 s checking (at least 3 rounds, at most 101),
+so short checks get many rounds; a check that fails or takes over 10 s
+ends the rounds.  Seconds are wall clock from the call to its outcome (a
+verdict or the error), not counting interpreter start-up or loading the
+file: the median and quartiles over the rounds, with the number of
+rounds the after tree was faster; `peak_rss_mb` is the largest peak
+resident memory of a tree's interpreters.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import json
 import os
 import platform
 import resource
-import signal
 import statistics
 import subprocess
 import sys
@@ -46,83 +47,64 @@ MIN_ROUNDS, MAX_ROUNDS = 3, 101
 LONG_S = 10.0  # a check this slow is not repeated
 
 
-def serve_checks(src: str, path: str) -> None:
-    """Child side: load one history with the package under src, then check
-    it once per line read from stdin, printing each outcome as JSON; at
-    end of input print the peak resident memory."""
+def check_in_this_process(src: str, path: str) -> None:
+    """Child side: check one history once with the package under src and
+    print the outcome as JSON."""
     resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
     sys.path.insert(0, src)
     from multistack.checker import check_set_linearizable
     from multistack.history import read_history
 
     history = read_history(path)
-    for _ in sys.stdin:
-        signal.alarm(TIMEOUT_S)  # the default action ends the interpreter
-        start = time.perf_counter()
-        try:
-            outcome = check_set_linearizable(history, max_ops=1 << 20).outcome.name
-            failed = False
-        except (RecursionError, MemoryError) as exc:
-            outcome, failed = type(exc).__name__, True
-        seconds = time.perf_counter() - start
-        signal.alarm(0)
-        print(json.dumps({"outcome": outcome, "seconds": seconds, "failed": failed}), flush=True)
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"peak_rss_mb": round(peak, 1)}), flush=True)
+    start = time.perf_counter()
+    try:
+        outcome, failed = check_set_linearizable(history, max_ops=1 << 20).outcome.name, False
+    except (RecursionError, MemoryError) as exc:
+        outcome, failed = type(exc).__name__, True
+    print(json.dumps({
+        "outcome": outcome,
+        "failed": failed,
+        "seconds": time.perf_counter() - start,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }))
 
 
-def start_checker(src: Path, path: Path) -> subprocess.Popen:
+def time_check(src: Path, path: Path) -> dict:
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); import bench_checker; "
-        f"bench_checker.serve_checks({str(src)!r}, {str(path)!r})"
+        f"bench_checker.check_in_this_process({str(src)!r}, {str(path)!r})"
     )
-    return subprocess.Popen(
-        [sys.executable, "-c", code],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONHASHSEED": "0"},  # the same string hashing in each
-    )
-
-
-def ask(child: subprocess.Popen, line: str) -> dict:
-    child.stdin.write(line)
-    child.stdin.flush()
-    reply = child.stdout.readline()
-    if reply:
-        return json.loads(reply)
-    code = child.wait()
-    if code == -signal.SIGALRM:
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
         return {"outcome": f"over {TIMEOUT_S} s", "failed": True}
-    return {"outcome": f"exit {code}: {child.stderr.read().strip()[-200:]}", "failed": True}
+    if done.returncode != 0:
+        return {"outcome": f"exit {done.returncode}: {done.stderr.strip()[-200:]}", "failed": True}
+    return json.loads(done.stdout)
 
 
 def time_checks(trees: dict[str, Path], path: Path) -> dict:
     """Alternating rounds of one check per tree on one history file."""
-    children = {side: start_checker(src, path) for side, src in trees.items()}
     seconds: dict[str, list[float]] = {side: [] for side in trees}
-    rows = {side: {} for side in trees}
+    rows = {side: {"peak_rss_mb": 0.0} for side in trees}
     order = list(trees)
     failed = False
     for rounds in range(1, MAX_ROUNDS + 1):
         for side in order:
-            reply = ask(children[side], "check\n")
+            reply = time_check(trees[side], path)
             rows[side]["outcome"] = reply["outcome"]
             if "seconds" in reply:
                 seconds[side].append(reply["seconds"])
+            rows[side]["peak_rss_mb"] = max(rows[side]["peak_rss_mb"], reply.get("peak_rss_mb", 0.0))
             failed |= reply["failed"]
         order.reverse()
         if failed or any(s[0] > LONG_S for s in seconds.values()):
             break
         if rounds >= MIN_ROUNDS and all(sum(s) >= BUDGET_S for s in seconds.values()):
             break
-    for side, child in children.items():
-        if child.poll() is None:
-            child.stdin.close()
-            rows[side].update(json.loads(child.stdout.readline()))
-            child.wait()
-        times = seconds[side]
+    for side, times in seconds.items():
         rows[side]["seconds"] = statistics.median(times) if times else None
         if len(times) > 1:
             rows[side]["quartiles"] = statistics.quantiles(times, n=4)[::2]
@@ -163,8 +145,8 @@ def main(argv=None) -> int:
         "before": args.before,
         "after": "working tree",
         "what": "wall-clock seconds of check_set_linearizable on one recorded two-thread "
-        "stress history, median and quartiles over rounds that alternate the two trees, "
-        "not corrected for the host's speed",
+        "stress history, one fresh interpreter per check, median and quartiles over "
+        "rounds that alternate the two trees, not corrected for the host's speed",
         "results": results,
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
