@@ -35,9 +35,8 @@ back undecided rather than silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .elements import EMPTY, Element, _Empty
 from .history import (
@@ -71,8 +70,7 @@ class CheckOutcome(Enum):
     UNDECIDED = auto()
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: CheckOutcome
     witness: Optional[tuple[ConcurrencyClass, ...]] = None
     refutation: Optional[str] = None
@@ -198,11 +196,17 @@ def _search(
     by_id = {r.op_id: r for r in records}
     spans = []
     for cls in classes:
-        invoked = [by_id[op].invoked_at for op in cls.op_ids]
-        responded = min(by_id[op].responded_at for op in cls.op_ids)
+        if len(cls.op_ids) == 1:
+            record = by_id[cls.op_ids[0]]
+            first = last = record.invoked_at
+            responded = record.responded_at
+        else:
+            invoked = [by_id[op].invoked_at for op in cls.op_ids]
+            first, last = min(invoked), max(invoked)
+            responded = min(by_id[op].responded_at for op in cls.op_ids)
         # The ready window needs this; grouping only builds overlapping classes.
-        assert max(invoked) < responded, f"class {cls.op_ids} is not concurrent"
-        spans.append((min(invoked), max(invoked), responded, cls))
+        assert last < responded, f"class {cls.op_ids} is not concurrent"
+        spans.append((first, last, responded, cls))
     # Deterministic witnesses: try ready classes by earliest member invocation.
     spans.sort(key=lambda span: span[0])
     first_inv, last_inv, first_res, ordered = zip(*spans)
@@ -348,17 +352,17 @@ def check_linearizable(history: History, max_ops: int = DEFAULT_MAX_OPS) -> Verd
 
 def format_witness(witness: Sequence[ConcurrencyClass]) -> str:
     """One line per class, in witness order: CLASS k: opids -> returned value."""
+    pushed, empty = format_payload(True), format_payload(EMPTY)
     lines = []
-    for k, cls in enumerate(witness, start=1):
-        ops = ",".join(str(op) for op in cls.op_ids)
-        if cls.kind is ClassKind.PUSH:
-            value = format_payload(True)
-        elif cls.kind is ClassKind.POP_EMPTY:
-            value = format_payload(EMPTY)
+    for k, (kind, op_ids, element) in enumerate(witness, start=1):
+        if kind is ClassKind.PUSH:
+            value = pushed
+        elif kind is ClassKind.POP_EMPTY:
+            value = empty
         else:
-            value = format_payload(cls.element)
-        lines.append(f"CLASS {k}: {ops} -> {value}")
-    return "".join(line + "\n" for line in lines)
+            value = format_payload(element)
+        lines.append(f"CLASS {k}: {','.join(map(str, op_ids))} -> {value}\n")
+    return "".join(lines)
 
 
 def write_witness(witness: Sequence[ConcurrencyClass], path) -> None:

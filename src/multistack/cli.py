@@ -61,6 +61,7 @@ from .simulator import (
 )
 
 BUNDLED_FIXTURES = ("shared_pop", "helped_pop", "push_race", "push_helps")
+IMPLS = ("relaxed", "baseline")
 
 
 def make_stack(impl: str, checked: bool) -> Union[RelaxedStack, TreiberStack]:
@@ -100,32 +101,39 @@ class StressResult:
     outcomes: list[list[tuple[OpName, object]]]  # per thread: (op, element/return)
     stack: Union[RelaxedStack, TreiberStack]
 
+    @functools.cached_property
+    def _tallies(self) -> tuple[int, int, int, list[int]]:
+        """(pushes, pops, empty pops, ids returned by more than one pop), in one pass."""
+        pushes = pops = empty_pops = 0
+        popped: Counter[int] = Counter()
+        for ops in self.outcomes:
+            for name, value in ops:
+                if name is OpName.PUSH:
+                    pushes += 1
+                elif name is OpName.POP:
+                    pops += 1
+                    if isinstance(value, Element):
+                        popped[value.push_id] += 1
+                    elif isinstance(value, _Empty):
+                        empty_pops += 1
+        shared = sorted(pid for pid, n in popped.items() if n > 1)
+        return pushes, pops, empty_pops, shared
+
     @property
     def pushes(self) -> int:
-        return sum(1 for ops in self.outcomes for name, _ in ops if name is OpName.PUSH)
+        return self._tallies[0]
 
     @property
     def pops(self) -> int:
-        return sum(1 for ops in self.outcomes for name, _ in ops if name is OpName.POP)
+        return self._tallies[1]
 
     @property
     def empty_pops(self) -> int:
-        return sum(
-            1
-            for ops in self.outcomes
-            for name, value in ops
-            if name is OpName.POP and isinstance(value, _Empty)
-        )
+        return self._tallies[2]
 
     @property
     def shared_return_ids(self) -> list[int]:
-        counts = Counter(
-            value.push_id
-            for ops in self.outcomes
-            for name, value in ops
-            if name is OpName.POP and isinstance(value, Element)
-        )
-        return sorted(pid for pid, n in counts.items() if n > 1)
+        return list(self._tallies[3])
 
     @property
     def retries(self) -> int:
@@ -142,37 +150,35 @@ def run_stress(config: RunConfig) -> StressResult:
 
     Each thread performs its whole planned operation count, so joining the
     workers drains the run: at the final snapshot nothing is in flight.
+    With T threads, thread i numbers its operations i+1, i+1+T, i+1+2T, ...,
+    so the op ids are 1..total_ops, each used once, and no thread waits
+    for another to get one.  The recorder takes no lock either.
     """
     stack = make_stack(config.impl, checked=True)
     recorder = Recorder()
-    op_ids = itertools.count(1)
-    op_id_lock = threading.Lock()
     outcomes: list[list[tuple[OpName, object]]] = [[] for _ in range(config.threads)]
     failures: list[BaseException] = []
-
-    def next_op_id() -> int:
-        with op_id_lock:
-            return next(op_ids)
 
     def worker(thread: int) -> None:
         rng = config.thread_rng(thread)
         process = thread + 1
         mine = outcomes[thread]
+        invocation, response, tracer = recorder.invocation, recorder.response, recorder.tracer
+        push, pop = OpName.PUSH, OpName.POP
         try:
-            for _ in range(config.ops_per_thread):
-                op_id = next_op_id()
-                trace = recorder.tracer(process, op_id)
+            for op_id in range(process, config.total_ops + 1, config.threads):
+                trace = tracer(process, op_id)
                 if rng.random() < 0.5:  # half pushes, of values 1..100
                     element = stack.make_element(rng.randrange(1, 101))
-                    recorder.invocation(process, op_id, OpName.PUSH, element)
+                    invocation(process, op_id, push, element)
                     stack.push(element, trace)
-                    recorder.response(process, op_id, True)
-                    mine.append((OpName.PUSH, element))
+                    response(process, op_id, True)
+                    mine.append((push, element))
                 else:
-                    recorder.invocation(process, op_id, OpName.POP)
+                    invocation(process, op_id, pop)
                     value = stack.pop(trace)
-                    recorder.response(process, op_id, value)
-                    mine.append((OpName.POP, value))
+                    response(process, op_id, value)
+                    mine.append((pop, value))
         except BaseException as exc:  # surface harness faults, do not hang
             failures.append(exc)
 
@@ -521,7 +527,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.ops_per_thread > 0:
         rows = run_bench(
-            impls=args.impls.split(","),
+            impls=args.impls,
             thread_counts=args.threads,
             ops_per_thread=args.ops_per_thread,
             seed=args.seed,
@@ -565,6 +571,17 @@ def counts(text: str) -> list[int]:
     return [count(token) for token in text.split(",")]
 
 
+def impls(text: str) -> list[str]:
+    """Argument type of bench --impls: comma-separated stack names."""
+    names = text.split(",")
+    for name in names:
+        if name not in IMPLS:
+            raise argparse.ArgumentTypeError(
+                f"unknown implementation {name!r} (choose from {', '.join(IMPLS)})"
+            )
+    return names
+
+
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -574,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     stress = sub.add_parser("stress", help="hammer a stack with real threads")
-    stress.add_argument("--impl", choices=("relaxed", "baseline"), default="relaxed")
+    stress.add_argument("--impl", choices=IMPLS, default="relaxed")
     stress.add_argument("-t", "--threads", type=count, default=4)
     stress.add_argument("-n", "--ops-per-thread", type=count, default=100)
     stress.add_argument("--seed", type=int, default=0)
@@ -610,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.set_defaults(func=cmd_explore)
 
     bench = sub.add_parser("bench", help="throughput matrix, CSV on stdout")
-    bench.add_argument("--impls", default="relaxed,baseline")
+    bench.add_argument("--impls", type=impls, default="relaxed,baseline")
     bench.add_argument("--threads", type=counts, default=[1, 2, 4])
     bench.add_argument("-n", "--ops-per-thread", type=count, default=10000)
     bench.add_argument("--seed", type=int, default=0)

@@ -22,21 +22,30 @@ checker reads it back.  Live runs (the Recorder) write INV/RES events only
 and tally their steps per line; the deterministic simulator also writes
 its STEP events, which are exact and in effect order.
 
+The Recorder takes no lock.  Each process records from one thread, and
+every invocation and response is one list.append, which is atomic under
+the GIL (Python FAQ, "What kinds of global value mutation are
+thread-safe?"), so the order of the appends is one global order of the
+events.  history() numbers them by position: that is where SEQ comes from.
+
 Events and operation records are named tuples: immutable, compared and
 hashed by their fields, and cheap to build.  A History pairs its events
 into operation records once, on first use, and keeps them: validating a
-parsed file and checking it share one pairing.  loads parses each distinct
-payload token once, so a pop's result is its push's Element.
+parsed file and checking it share one pairing.  dumps formats each
+payload once, with a table for the KIND and NAME tokens.  loads parses
+each distinct payload token once, so a pop's result is its push's
+Element, and validates each combination of KIND token, NAME token and
+payload type once; a line with anything it has not seen yet goes through
+parse_event, which words every error.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .elements import EMPTY, Element, _Empty
 
@@ -48,16 +57,25 @@ class EventKind(Enum):
     RESPONSE = "RES"
     STEP = "STEP"
 
+    # Members are singletons, so identity hashing agrees with equality, and
+    # it is a C call where Enum's own hash is a Python one.
+    __hash__ = object.__hash__
+
 
 class OpName(Enum):
     PUSH = "PUSH"
     POP = "POP"
+
+    __hash__ = object.__hash__
 
 
 _KIND_BY_TOKEN = {kind.value: kind for kind in EventKind}
 _NAME_BY_TOKEN = {name.value: name for name in OpName}
 _TOKEN_BY_KIND = {kind: token for token, kind in _KIND_BY_TOKEN.items()}
 _TOKEN_BY_NAME = {name: token for token, name in _NAME_BY_TOKEN.items()}
+# Module-level names: a global load is cheaper than an Enum class lookup.
+_INVOCATION, _RESPONSE = EventKind.INVOCATION, EventKind.RESPONSE
+_PUSH, _POP = OpName
 
 
 class Event(NamedTuple):
@@ -74,6 +92,11 @@ class Event(NamedTuple):
     kind: EventKind
     name: OpName
     payload: Payload
+
+
+# Builds a named tuple from a plain one at C speed, skipping the Python-level
+# __new__ that checks nothing: _new(Event, (seq, process, ...)).
+_new = tuple.__new__
 
 
 class RecorderError(RuntimeError):
@@ -102,72 +125,84 @@ class IllFormedHistory(ValueError):
 
 
 class Recorder:
-    """Thread-safe event sink assigning the global sequence order.
+    """Lock-free event sink whose append order is the global order.
 
-    Each process records from one thread.  Invocations and responses take
-    one internal lock, so the sequence numbers are gapless and unique, and
-    the order of events in the history is the order in which the recording
-    threads got through the recorder.  Per-process well-formedness (invoke,
-    then steps, then respond) is enforced here so a harness bug cannot
-    masquerade as an interesting history.
+    Each process records from one thread.  Invocations and responses append
+    (process, op_id, kind, name, payload) to one shared list, and
+    list.append is atomic under the GIL (Python FAQ, "What kinds of global
+    value mutation are thread-safe?"), so the order of the appends is one
+    global order of the events.  A harness appends an invocation before
+    the operation's first shared action and its response after the last,
+    so that order respects real time.  history() numbers the events by
+    position, which makes the sequence numbers gapless and unique.
+    Per-process well-formedness (invoke, then steps, then respond) is
+    enforced here, on state that only the process's own thread writes, so
+    a harness bug cannot masquerade as an interesting history.
 
     Steps are tallied per process and line number, not stored: the history
     holds the INV/RES events only.  A live step callback fires after its
     action, so its place among other threads' events would not be its
-    effect order.  A step takes no lock: it reads its own process's pending
-    operation and bumps a counter only that process's thread writes.
-    step_counts() sums the per-process tallies; it is exact once the
-    recording threads are done.
+    effect order.  tracer(process, op_id) is the callback a stack calls for
+    each traced line: one call that checks the operation is still pending
+    and bumps a counter only that process's thread writes.  step_counts()
+    sums the per-process tallies; it is exact once the recording threads
+    are done.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._events: list[Event] = []
-        self._next_seq = 0
-        self._pending: dict[int, tuple[int, OpName]] = {}
+        self._log: list[tuple[int, int, EventKind, OpName, Payload]] = []
+        self._pending: dict[int, tuple[int, OpName]] = {}  # process -> (op id, name)
         self._step_counts: dict[int, dict[int, int]] = {}  # process -> line -> steps
 
     def invocation(
         self, process: int, op_id: int, name: OpName, argument: Optional[Element] = None
     ) -> None:
-        if name is OpName.PUSH and argument is None:
+        if name is _PUSH and argument is None:
             raise RecorderError(f"push invocation of op {op_id} without an argument")
-        if name is OpName.POP and argument is not None:
+        if name is _POP and argument is not None:
             raise RecorderError(f"pop invocation of op {op_id} with an argument")
-        with self._lock:
-            if process in self._pending:
-                raise RecorderError(
-                    f"process {process} invoked op {op_id} while op "
-                    f"{self._pending[process][0]} is still pending"
-                )
-            self._pending[process] = (op_id, name)
-            self._step_counts.setdefault(process, {})
-            self._append(process, op_id, EventKind.INVOCATION, name, argument)
+        pending = self._pending.get(process)
+        if pending is not None:
+            raise RecorderError(
+                f"process {process} invoked op {op_id} while op "
+                f"{pending[0]} is still pending"
+            )
+        self._pending[process] = (op_id, name)
+        self._log.append((process, op_id, _INVOCATION, name, argument))
 
     def response(self, process: int, op_id: int, value: Payload) -> None:
-        with self._lock:
-            self._require_pending(process, op_id)
-            name = self._pending.pop(process)[1]
-            self._append(process, op_id, EventKind.RESPONSE, name, value)
+        self._require_pending(process, op_id)
+        name = self._pending.pop(process)[1]
+        self._log.append((process, op_id, _RESPONSE, name, value))
 
     def step(self, process: int, op_id: int, line: int) -> None:
-        self._require_pending(process, op_id)
-        counts = self._step_counts[process]  # made by the pending op's invocation
-        counts[line] = counts.get(line, 0) + 1
+        self.tracer(process, op_id)(line)
 
-    def tracer(self, process: int, op_id: int):
-        """Bind process and op id into a step callback for a stack to call."""
-        return lambda line: self.step(process, op_id, line)
+    def tracer(self, process: int, op_id: int) -> Callable[[int], None]:
+        """The step callback of one operation, for a stack to call per line."""
+        pending = self._pending
+        counts = self._step_counts.get(process)
+        if counts is None:
+            counts = self._step_counts[process] = {}
+
+        def step(line: int) -> None:
+            entry = pending.get(process)
+            if entry is None or entry[0] != op_id:
+                self._require_pending(process, op_id)
+            counts[line] = counts.get(line, 0) + 1
+
+        return step
 
     def history(self) -> "History":
-        with self._lock:
-            return History(tuple(self._events))
+        log = self._log[:]  # one C-level copy: safe beside live appends
+        return History(tuple([_new(Event, (seq, *entry)) for seq, entry in enumerate(log)]))
 
     def step_counts(self) -> dict[int, int]:
         totals: Counter[int] = Counter()
-        with self._lock:
-            for counts in self._step_counts.values():
-                totals.update(dict(counts))  # a C-level copy: safe beside a live step
+        # dict(d) copies at C level, like the FAQ's atomic D1.update(D2):
+        # safe beside a live tracer adding its process's tally.
+        for counts in dict(self._step_counts).values():
+            totals.update(dict(counts))
         return dict(totals)
 
     def _require_pending(self, process: int, op_id: int) -> None:
@@ -179,12 +214,6 @@ class Recorder:
                 f"process {process} recorded for op {op_id} while op "
                 f"{pending[0]} is pending"
             )
-
-    def _append(
-        self, process: int, op_id: int, kind: EventKind, name: OpName, payload: Payload
-    ) -> None:
-        self._events.append(Event(self._next_seq, process, op_id, kind, name, payload))
-        self._next_seq += 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,61 +273,57 @@ def _pair(events: tuple[Event, ...]) -> tuple[OperationRecord, ...]:
     """
     records: list[Optional[OperationRecord]] = []  # a slot per invocation, in order
     invoked: set[int] = set()
-    pending: dict[int, tuple[int, Event]] = {}  # process -> (slot, invocation)
-    for event in events:
-        if event.kind is EventKind.INVOCATION:
-            if event.op_id in invoked:
-                raise IllFormedHistory(event.seq, f"op {event.op_id} invoked twice")
-            if event.process in pending:
+    # process -> (slot, op id, name, argument, invoked at) of its pending op
+    pending: dict[int, tuple[int, int, OpName, Payload, int]] = {}
+    for seq, process, op_id, kind, name, payload in events:
+        if kind is _INVOCATION:
+            if op_id in invoked:
+                raise IllFormedHistory(seq, f"op {op_id} invoked twice")
+            if process in pending:
                 raise IllFormedHistory(
-                    event.seq,
-                    f"process {event.process} invoked op {event.op_id} "
-                    f"while op {pending[event.process][1].op_id} is pending",
+                    seq,
+                    f"process {process} invoked op {op_id} "
+                    f"while op {pending[process][1]} is pending",
                 )
-            if event.name is OpName.PUSH and not isinstance(event.payload, Element):
-                raise IllFormedHistory(
-                    event.seq, f"push invocation of op {event.op_id} lacks an element"
-                )
-            invoked.add(event.op_id)
-            pending[event.process] = (len(records), event)
+            if name is _PUSH:
+                if not isinstance(payload, Element):
+                    raise IllFormedHistory(
+                        seq, f"push invocation of op {op_id} lacks an element"
+                    )
+                argument = payload
+            else:
+                argument = None
+            invoked.add(op_id)
+            pending[process] = (len(records), op_id, name, argument, seq)
             records.append(None)
             continue
-        slot, invocation = pending.get(event.process, (-1, None))
-        is_response = event.kind is EventKind.RESPONSE
-        if invocation is None or invocation.op_id != event.op_id:
+        entry = pending.get(process)
+        is_response = kind is _RESPONSE
+        if entry is None or entry[1] != op_id:
             if is_response:
                 message = (
-                    f"response for op {event.op_id} does not match the pending "
-                    f"operation of process {event.process}"
+                    f"response for op {op_id} does not match the pending "
+                    f"operation of process {process}"
                 )
             else:
-                message = f"step for op {event.op_id} outside its invocation interval"
-            raise IllFormedHistory(event.seq, message)
-        if event.name is not invocation.name:
+                message = f"step for op {op_id} outside its invocation interval"
+            raise IllFormedHistory(seq, message)
+        if name is not entry[2]:
             raise IllFormedHistory(
-                event.seq,
-                f"{'response' if is_response else 'step'} for op {event.op_id} names "
-                f"{_TOKEN_BY_NAME[event.name]} but op {event.op_id} is a "
-                f"{_TOKEN_BY_NAME[invocation.name]}",
+                seq,
+                f"{'response' if is_response else 'step'} for op {op_id} names "
+                f"{_TOKEN_BY_NAME[name]} but op {op_id} is a "
+                f"{_TOKEN_BY_NAME[entry[2]]}",
             )
         if is_response:
-            del pending[event.process]
-            records[slot] = _record(invocation, event)
-    for slot, invocation in pending.values():
-        records[slot] = _record(invocation, None)
+            del pending[process]
+            slot, _, _, argument, invoked_at = entry
+            records[slot] = OperationRecord(
+                op_id, process, name, argument, payload, invoked_at, seq
+            )
+    for process, (slot, op_id, name, argument, invoked_at) in pending.items():
+        records[slot] = OperationRecord(op_id, process, name, argument, None, invoked_at, None)
     return tuple(records)
-
-
-def _record(invocation: Event, response: Optional[Event]) -> OperationRecord:
-    return OperationRecord(
-        op_id=invocation.op_id,
-        process=invocation.process,
-        name=invocation.name,
-        argument=invocation.payload if invocation.name is OpName.PUSH else None,
-        result=None if response is None else response.payload,
-        invoked_at=invocation.seq,
-        responded_at=None if response is None else response.seq,
-    )
 
 
 def operations(history: History) -> list[OperationRecord]:
@@ -353,8 +378,29 @@ def format_event(event: Event) -> str:
     )
 
 
+# " KIND NAME " for every pair, so a line is three numbers, a head and a payload.
+_HEADS = {
+    (kind, name): f" {token} {name_token} "
+    for token, kind in _KIND_BY_TOKEN.items()
+    for name_token, name in _NAME_BY_TOKEN.items()
+}
+
+
 def dumps(history: History) -> str:
-    return "".join(format_event(e) + "\n" for e in history.events)
+    """The history's text: format_event of every event, one per line."""
+    tokens: dict[int, str] = {}  # id(payload) -> text; the history keeps payloads alive
+    lines = []
+    for event in history.events:
+        seq, process, op_id, kind, name, payload = event
+        head = _HEADS.get((kind, name))
+        if head is None:  # an unknown kind or name: format_event raises as it always did
+            lines.append(format_event(event) + "\n")
+            continue
+        token = tokens.get(id(payload))
+        if token is None:
+            token = tokens[id(payload)] = format_payload(payload)
+        lines.append(f"{seq} {process} {op_id}{head}{token}\n")
+    return "".join(lines)
 
 
 def _parse_payload(token: str, lineno: int) -> Payload:
@@ -418,14 +464,41 @@ def _parse_event(line: str, lineno: int, payloads: dict[str, Payload]) -> Event:
     return Event(seq, process, op_id, kind, name, payload)
 
 
+_UNSEEN = object()  # a payload token that does not parse; no head has its type
+
+
 def loads(text: str) -> History:
     events: list[Event] = []
     linenos: list[int] = []
     payloads: dict[str, Payload] = {}  # token -> parsed payload, for this text only
+    # (KIND token, NAME token, payload type) -> (kind, name), once parse_event
+    # has accepted a line with them: later such lines need no other check.
+    heads: dict[tuple[str, str, type], tuple[EventKind, OpName]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        fields = line.split()
+        if len(fields) == 6:
+            seq_text, proc_text, opid_text, kind_text, name_text, payload_text = fields
+            payload = payloads.get(payload_text, _UNSEEN)
+            if payload is _UNSEEN:
+                try:
+                    payload = payloads[payload_text] = _parse_payload(payload_text, lineno)
+                except HistoryFormatError:
+                    pass  # parse_event words it, after any error in an earlier field
+            head = heads.get((kind_text, name_text, type(payload)))
+            if head is not None:
+                try:
+                    numbers = (int(seq_text), int(proc_text), int(opid_text))
+                except ValueError:
+                    head = None  # parse_event words the error
+                else:
+                    event = _new(Event, (*numbers, *head, payload))
+            if head is None:
+                event = _parse_event(line, lineno, payloads)
+                heads[kind_text, name_text, type(event.payload)] = (event.kind, event.name)
+        elif fields:
+            event = _parse_event(line, lineno, payloads)  # raises: the field count
+        else:
             continue
-        event = _parse_event(line, lineno, payloads)
         if event.seq != len(events):
             raise HistoryFormatError(
                 lineno, f"seq {event.seq} out of order; expected {len(events)}"

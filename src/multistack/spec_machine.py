@@ -17,7 +17,6 @@ is deliberately tiny, pure, and total over validated inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -56,34 +55,21 @@ class ClassKind(Enum):
     POP_GROUP = auto()
 
 
-@dataclass(frozen=True)
-class ConcurrencyClass:
+class ConcurrencyClass(NamedTuple):
     """A set of operations that take effect together in one transition.
 
     kind        what the class does to the state
     op_ids      member operation ids (singleton for PUSH and POP_EMPTY)
     element     the pushed element (PUSH) or the shared return (POP_GROUP);
                 None for POP_EMPTY
+
+    Build classes with push_class, pop_empty_class and pop_group_class,
+    which reject structurally invalid ones with MalformedClassError.
     """
 
     kind: ClassKind
     op_ids: tuple[int, ...]
     element: Optional[Element]
-
-    def __post_init__(self) -> None:
-        if len(self.op_ids) == 0:
-            raise MalformedClassError("class with no member operations")
-        if len(set(self.op_ids)) != len(self.op_ids):
-            raise MalformedClassError(f"repeated op id in class {self.op_ids}")
-        if self.kind in (ClassKind.PUSH, ClassKind.POP_EMPTY) and len(self.op_ids) != 1:
-            raise MalformedClassError(
-                f"{self.kind.name} class must be a singleton, got {self.op_ids}"
-            )
-        if self.kind is ClassKind.POP_EMPTY:
-            if self.element is not None:
-                raise MalformedClassError("POP_EMPTY class carries no element")
-        elif self.element is None:
-            raise MalformedClassError(f"{self.kind.name} class requires an element")
 
     def describe(self) -> str:
         ops = ",".join(str(i) for i in self.op_ids)
@@ -94,16 +80,29 @@ class ConcurrencyClass:
         return f"pop[{ops}]->{self.element}"
 
 
+# Module-level names: a global load is cheaper than an Enum class lookup.
+_PUSH, _POP_EMPTY, _POP_GROUP = ClassKind
+
+
 def push_class(op_id: int, element: Element) -> ConcurrencyClass:
-    return ConcurrencyClass(ClassKind.PUSH, (op_id,), element)
+    if element is None:
+        raise MalformedClassError("PUSH class requires an element")
+    return ConcurrencyClass(_PUSH, (op_id,), element)
 
 
 def pop_empty_class(op_id: int) -> ConcurrencyClass:
-    return ConcurrencyClass(ClassKind.POP_EMPTY, (op_id,), None)
+    return ConcurrencyClass(_POP_EMPTY, (op_id,), None)
 
 
 def pop_group_class(op_ids: Sequence[int], element: Element) -> ConcurrencyClass:
-    return ConcurrencyClass(ClassKind.POP_GROUP, tuple(op_ids), element)
+    op_ids = tuple(op_ids)
+    if not op_ids:
+        raise MalformedClassError("class with no member operations")
+    if len(set(op_ids)) != len(op_ids):
+        raise MalformedClassError(f"repeated op id in class {op_ids}")
+    if element is None:
+        raise MalformedClassError("POP_GROUP class requires an element")
+    return ConcurrencyClass(_POP_GROUP, op_ids, element)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +147,7 @@ def apply_pop_empty(state: SpecState, op_id: int = 0) -> tuple[SpecState, SpecRe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReplayVerdict:
+class ReplayVerdict(NamedTuple):
     accepted: bool
     failed_index: Optional[int] = None
     reason: Optional[str] = None
@@ -162,28 +160,44 @@ def replay(classes: Sequence[ConcurrencyClass]) -> ReplayVerdict:
 
     Classes are validated structurally on construction; replay only decides
     whether each one is applicable in turn.  The first inapplicable class
-    yields a rejection naming its index and the reason.
+    yields a rejection naming its index and the model's reason.  A set of
+    the push ids on the stack, kept beside it, lets an applicable push or
+    pop group take O(1); every other class goes through apply_class, which
+    applies it or words its refusal.
     """
-    state: SpecState = EMPTY_STATE
+    stack: list[Element] = []  # the state, deepest first
+    present: set[int] = set()  # the push ids in stack
     responses: list[SpecResponse] = []
     for index, cls in enumerate(classes):
-        try:
-            state, step_responses = apply_class(state, cls)
-        except TransitionError as exc:
-            return ReplayVerdict(False, failed_index=index, reason=str(exc))
-        responses.extend(step_responses)
-    return ReplayVerdict(True, final_state=state, responses=tuple(responses))
+        kind, op_ids, element = cls
+        if kind is _PUSH and element.push_id not in present:
+            stack.append(element)
+            present.add(element.push_id)
+            responses.append(SpecResponse(op_ids[0], True))
+        elif kind is _POP_GROUP and stack and (stack[-1] is element or stack[-1] == element):
+            top = stack.pop()
+            present.remove(top.push_id)
+            responses.extend([SpecResponse(op_id, top) for op_id in op_ids])
+        else:
+            try:
+                state, step_responses = apply_class(tuple(stack), cls)
+            except TransitionError as exc:
+                return ReplayVerdict(False, failed_index=index, reason=str(exc))
+            stack = list(state)
+            present = {e.push_id for e in state}
+            responses.extend(step_responses)
+    return ReplayVerdict(True, final_state=tuple(stack), responses=tuple(responses))
 
 
 def apply_class(
     state: SpecState, cls: ConcurrencyClass
 ) -> tuple[SpecState, list[SpecResponse]]:
     """Apply one class, or raise TransitionError if it is not applicable."""
-    if cls.kind is ClassKind.PUSH:
+    if cls.kind is _PUSH:
         assert cls.element is not None
         state, response = apply_push(state, cls.element, cls.op_ids[0])
         return state, [response]
-    if cls.kind is ClassKind.POP_EMPTY:
+    if cls.kind is _POP_EMPTY:
         state, response = apply_pop_empty(state, cls.op_ids[0])
         return state, [response]
     assert cls.element is not None

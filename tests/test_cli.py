@@ -454,7 +454,7 @@ def test_env_seed_must_be_an_integer(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# size options
+# size and stack options
 # ---------------------------------------------------------------------------
 
 
@@ -469,6 +469,10 @@ def test_env_seed_must_be_an_integer(monkeypatch, capsys):
         (["stress", "-t", "-1"], "--threads: must not be negative: -1"),
         (["stress", "-n", "1.5"], "--ops-per-thread: not an integer: '1.5'"),
         (["check", "h.history", "--max-ops", "-1"], "--max-ops: must not be negative: -1"),
+        # Stack names are checked the same way.
+        (["bench", "--impls", "nope", "-n", "10"], "--impls: unknown implementation 'nope'"),
+        (["bench", "--impls", ",", "-n", "10"], "--impls: unknown implementation ''"),
+        (["bench", "--impls", "relaxed,treiber"], "--impls: unknown implementation 'treiber'"),
     ],
 )
 def test_bad_counts_are_usage_errors(argv, message, capsys):

@@ -5,15 +5,19 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 
+from multistack.cli import RunConfig, run_stress
 from multistack.elements import EMPTY, Element
 from multistack.history import (
     Event,
     EventKind,
     History,
     HistoryFormatError,
+    IllFormedHistory,
     OperationRecord,
     OpName,
     Recorder,
@@ -30,7 +34,13 @@ from multistack.history import (
     read_history,
     write_history,
 )
-from support import build_history, random_history, sequential_history
+from multistack.relaxed_stack import RelaxedStack
+from support import (
+    build_history,
+    random_history,
+    random_simulated_history,
+    sequential_history,
+)
 
 E1 = Element(5, 1)
 E2 = Element(9, 2)
@@ -152,6 +162,88 @@ def test_recorder_counts_every_step_under_preemption():
     total = threads * ops_per_thread
     assert recorder.step_counts() == {3: total, 4: total, 6: total}
     assert len(operations(recorder.history())) == total
+
+
+def test_lock_free_recorder_on_real_threads():
+    # A live stack, four threads preempted as often as the interpreter
+    # allows: the append order must still be one well-formed history.
+    recorder = Recorder()
+    stack = RelaxedStack(checked=True)
+    threads, ops_per_thread = 4, 2000
+    total = threads * ops_per_thread
+    traced = [Counter() for _ in range(threads)]  # trace calls, each thread its own
+    start = threading.Barrier(threads)
+
+    def worker(thread: int) -> None:
+        process = thread + 1
+        rng = random.Random(thread)
+        calls = traced[thread]
+        start.wait(timeout=60)
+        for op_id in range(process, total + 1, threads):
+            step = recorder.tracer(process, op_id)
+
+            def trace(line: int) -> None:
+                calls[line] += 1
+                time.sleep(0)  # hand the GIL over between lines, not only on the timer
+                step(line)
+
+            if rng.random() < 0.5:
+                element = stack.make_element(op_id)
+                recorder.invocation(process, op_id, OpName.PUSH, element)
+                stack.push(element, trace)
+                recorder.response(process, op_id, True)
+            else:
+                recorder.invocation(process, op_id, OpName.POP)
+                recorder.response(process, op_id, stack.pop(trace))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    events = recorder.history().events
+    assert [e.seq for e in events] == list(range(2 * total))
+    for process in range(1, threads + 1):
+        mine = [e for e in events if e.process == process]
+        assert [e.kind for e in mine] == [EventKind.INVOCATION, EventKind.RESPONSE] * ops_per_thread
+        for invocation, response in zip(mine[::2], mine[1::2]):
+            assert (response.op_id, response.name) == (invocation.op_id, invocation.name)
+    assert sorted(e.op_id for e in events if e.kind is EventKind.INVOCATION) == list(
+        range(1, total + 1)
+    )
+    assert recorder.step_counts() == dict(sum(traced, Counter()))
+    assert not stack.invariant_violations
+    # The threads did interleave, so the order above came from the appends.
+    assert sum(a.process != b.process for a, b in zip(events, events[1:])) > 100
+
+
+def test_stress_op_ids_are_per_thread_and_repeat_per_seed():
+    config = RunConfig(threads=4, ops_per_thread=2000, seed=17)
+
+    def invocations(history: History) -> dict[int, list[tuple]]:
+        per_thread: dict[int, list[tuple]] = {}
+        for e in history.events:
+            if e.kind is EventKind.INVOCATION:
+                value = e.payload.value if e.name is OpName.PUSH else None
+                per_thread.setdefault(e.process, []).append((e.op_id, e.name, value))
+        return per_thread
+
+    first, second = (invocations(run_stress(config).history) for _ in range(2))
+    assert first == second
+    assert sorted(op for ops in first.values() for op, _, _ in ops) == list(
+        range(1, config.total_ops + 1)
+    )
+    # Thread i numbers its ops i+1, i+1+T, ...: no shared counter.
+    for process, ops in first.items():
+        assert [op for op, _, _ in ops] == list(
+            range(process, config.total_ops + 1, config.threads)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +484,96 @@ def test_read_history_rejects_undecodable_bytes_with_line(tmp_path):
         read_history(path)
     assert info.value.lineno == 2
     assert "0xff" in str(info.value)
+
+
+def reference_loads(text: str) -> History:
+    """loads as a plain loop of parse_event over the lines."""
+    events, linenos = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        event = parse_event(line, lineno)
+        if event.seq != len(events):
+            raise HistoryFormatError(
+                lineno, f"seq {event.seq} out of order; expected {len(events)}"
+            )
+        events.append(event)
+        linenos.append(lineno)
+    history = History(tuple(events))
+    try:
+        operations(history)
+    except IllFormedHistory as exc:
+        raise HistoryFormatError(linenos[exc.seq], str(exc)) from None
+    return history
+
+
+# Tokens that int() or the payload grammar treats unevenly, and tokens of
+# the other fields, so a mutation can land a field where another belongs.
+ODD_TOKENS = (
+    "007", "+1", "-1", "1_0", "²", "٣", "v:1", "v:1#", "v:+1#007", "v:1#2", "v:5#1",
+    "L", "L3", "L+3", "L²", "-", "true", "True", "empty", "INV", "RES", "STEP", "PUSH",
+    "POP", "pop", "0", "1", "2", "x", "#",
+)
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        fields = lines[i].split(" ")
+        action = rng.randrange(7)
+        if action == 0:
+            fields[rng.randrange(len(fields))] = rng.choice(ODD_TOKENS)
+        elif action == 1 and len(fields) > 1:
+            del fields[rng.randrange(len(fields))]
+        elif action == 2:
+            fields.insert(rng.randrange(len(fields) + 1), rng.choice(ODD_TOKENS))
+        elif action == 3:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif action == 4:
+            lines.insert(i, lines[rng.randrange(len(lines))])
+        elif action == 5:
+            lines[i] = rng.choice(("", "   ", "\t"))
+        else:
+            lines[i] = lines[i].replace(" ", "  ", 1)
+        if action in (0, 1, 2):
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + rng.choice(("\n", "", "\n\n"))
+
+
+def outcome(parse, text: str):
+    try:
+        history = parse(text)
+    except HistoryFormatError as exc:
+        return ("error", exc.lineno, str(exc))
+    return ("history", history, [r.result for r in operations(history)])
+
+
+def test_loads_agrees_with_line_by_line_parsing_on_mutated_texts():
+    rng = random.Random(70)
+    histories = [
+        run_stress(RunConfig(threads=2, ops_per_thread=6, seed=s)).history for s in range(20)
+    ]
+    histories += [random_simulated_history(rng, 6) for _ in range(20)]  # STEP lines too
+    errors = 0
+    for trial in range(5000):
+        text = mutate(rng, dumps(histories[trial % len(histories)]))
+        expected = outcome(reference_loads, text)
+        assert outcome(loads, text) == expected, text
+        errors += expected[0] == "error"
+    assert 2500 < errors < 5000  # both outcomes well represented
+
+
+def test_dumps_is_format_event_per_line():
+    rng = random.Random(71)
+    histories = [
+        run_stress(RunConfig(threads=3, ops_per_thread=40, seed=s)).history for s in range(5)
+    ]
+    histories += [random_simulated_history(rng, 8) for _ in range(200)]
+    histories.append(History(()))
+    for history in histories:
+        assert dumps(history) == "".join(format_event(e) + "\n" for e in history.events)
 
 
 def test_history_validates_gapless_seq():

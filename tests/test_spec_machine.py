@@ -11,6 +11,7 @@ from multistack.spec_machine import (
     ClassKind,
     EMPTY_STATE,
     MalformedClassError,
+    ReplayVerdict,
     TransitionError,
     apply_class,
     apply_pop_class,
@@ -152,6 +153,49 @@ def test_replay_rejects_pop_empty_on_nonempty():
 def test_replay_empty_sequence_accepted():
     verdict = replay([])
     assert verdict.accepted and verdict.final_state == EMPTY_STATE
+
+
+def test_replay_rejects_a_push_id_repeated_beneath_others():
+    first, second, third = elems((1, 7), (2, 8), (3, 9))
+    again = Element(4, 7)  # push id 7 is two elements down by now
+    verdict = replay(
+        [push_class(1, first), push_class(2, second), push_class(3, third), push_class(4, again)]
+    )
+    assert not verdict.accepted and verdict.failed_index == 3
+    assert verdict.reason == "push id 7 already on the stack"
+    with pytest.raises(TransitionError) as info:
+        apply_push((first, second, third), again)
+    assert str(info.value) == verdict.reason
+    # Once popped, the id is free again.
+    verdict = replay([push_class(1, first), pop_group_class((2,), first), push_class(3, again)])
+    assert verdict.accepted and verdict.final_state == (again,)
+
+
+def apply_each(classes):
+    """replay as a plain fold of apply_class: the model, one class at a time."""
+    state, responses = EMPTY_STATE, []
+    for index, cls in enumerate(classes):
+        try:
+            state, step = apply_class(state, cls)
+        except TransitionError as exc:
+            return ReplayVerdict(False, failed_index=index, reason=str(exc))
+        responses.extend(step)
+    return ReplayVerdict(True, final_state=state, responses=tuple(responses))
+
+
+any_element = st.builds(Element, st.integers(1, 2), st.integers(1, 4))
+any_class = st.one_of(
+    st.builds(push_class, st.integers(1, 9), any_element),
+    st.builds(pop_empty_class, st.integers(1, 9)),
+    st.builds(pop_group_class, st.sets(st.integers(1, 9), min_size=1, max_size=3), any_element),
+)
+
+
+@given(st.lists(any_class, max_size=12))
+def test_replay_is_the_fold_of_apply_class(classes):
+    # Repeated push ids, wrong tops and empty pops on a non-empty stack
+    # included: the same verdict, index, reason, state and responses.
+    assert replay(classes) == apply_each(classes)
 
 
 # ---------------------------------------------------------------------------
