@@ -1,11 +1,11 @@
 """Command line front end: stress runs, checking, replay, exploration, bench.
 
+This module parses arguments, dispatches to the subcommands and prints
+their results; the live runs behind stress and bench are in harness.py.
 Subcommands communicate through the history text format: stress and
 replay write it, check reads it back.  Seeds fix the per-thread operation
-mix (thread i draws from its own generator seeded by seed and i), so a
-rerun with the same seed performs the same operations and differs only in
-interleaving.  The environment variable STACK_SEED, when set, overrides
---seed for every subcommand that takes one.
+mix (see harness.RunConfig.plans), so a rerun with the same seed performs
+the same operations and differs only in interleaving.
 
 Exit codes of `check`: 0 accepted, 1 rejected, 2 undecided (size cap),
 3 malformed input or an unwritable witness path.  Every subcommand exits
@@ -18,17 +18,10 @@ import argparse
 import csv
 import functools
 import itertools
-import os
-import random
-import statistics
 import sys
-import threading
-import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .baseline_stack import TreiberStack
 from .checker import (
     DEFAULT_MAX_OPS,
     CheckOutcome,
@@ -37,17 +30,16 @@ from .checker import (
     write_witness,
 )
 from .elements import Element, _Empty
+from .harness import IMPLS, RunConfig, conservation_errors, run_bench, run_stress
 from .history import (
     EventKind,
     History,
     HistoryFormatError,
     OpName,
-    Recorder,
     format_event,
     read_history,
     write_history,
 )
-from .relaxed_stack import RelaxedStack
 from .simulator import (
     FixtureFormatError,
     PlannedOp,
@@ -61,282 +53,6 @@ from .simulator import (
 )
 
 BUNDLED_FIXTURES = ("shared_pop", "helped_pop", "push_race", "push_helps")
-IMPLS = ("relaxed", "baseline")
-
-
-def make_stack(impl: str, checked: bool) -> Union[RelaxedStack, TreiberStack]:
-    if impl == "relaxed":
-        return RelaxedStack(checked=checked)
-    if impl == "baseline":
-        return TreiberStack()
-    raise ValueError(f"unknown implementation {impl!r}")
-
-
-# ---------------------------------------------------------------------------
-# Stress harness
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    impl: str = "relaxed"
-    threads: int = 4
-    ops_per_thread: int = 100
-    seed: int = 0
-
-    @property
-    def total_ops(self) -> int:
-        return self.threads * self.ops_per_thread
-
-    def thread_rng(self, thread: int) -> random.Random:
-        # Tuple-free integer seed: int hashing is stable across processes.
-        return random.Random(self.seed * 100003 + thread)
-
-
-@dataclass
-class StressResult:
-    config: RunConfig
-    history: History
-    step_counts: dict[int, int]
-    outcomes: list[list[tuple[OpName, object]]]  # per thread: (op, element/return)
-    stack: Union[RelaxedStack, TreiberStack]
-
-    @functools.cached_property
-    def _tallies(self) -> tuple[int, int, int, list[int]]:
-        """(pushes, pops, empty pops, ids returned by more than one pop), in one pass."""
-        pushes = pops = empty_pops = 0
-        popped: Counter[int] = Counter()
-        for ops in self.outcomes:
-            for name, value in ops:
-                if name is OpName.PUSH:
-                    pushes += 1
-                elif name is OpName.POP:
-                    pops += 1
-                    if isinstance(value, Element):
-                        popped[value.push_id] += 1
-                    elif isinstance(value, _Empty):
-                        empty_pops += 1
-        shared = sorted(pid for pid, n in popped.items() if n > 1)
-        return pushes, pops, empty_pops, shared
-
-    @property
-    def pushes(self) -> int:
-        return self._tallies[0]
-
-    @property
-    def pops(self) -> int:
-        return self._tallies[1]
-
-    @property
-    def empty_pops(self) -> int:
-        return self._tallies[2]
-
-    @property
-    def shared_return_ids(self) -> list[int]:
-        return list(self._tallies[3])
-
-    @property
-    def retries(self) -> int:
-        attempts = self.step_counts.get(3, 0) + self.step_counts.get(16, 0)
-        return max(0, attempts - self.pushes - self.pops)
-
-    @property
-    def helps(self) -> int:
-        return self.step_counts.get(10, 0) + self.step_counts.get(25, 0)
-
-
-def run_stress(config: RunConfig) -> StressResult:
-    """Drive one stack with config.threads real threads.
-
-    Each thread performs its whole planned operation count, so joining the
-    workers drains the run: at the final snapshot nothing is in flight.
-    With T threads, thread i numbers its operations i+1, i+1+T, i+1+2T, ...,
-    so the op ids are 1..total_ops, each used once, and no thread waits
-    for another to get one.  The recorder takes no lock either.
-    """
-    stack = make_stack(config.impl, checked=True)
-    recorder = Recorder()
-    outcomes: list[list[tuple[OpName, object]]] = [[] for _ in range(config.threads)]
-    failures: list[BaseException] = []
-
-    def worker(thread: int) -> None:
-        rng = config.thread_rng(thread)
-        process = thread + 1
-        mine = outcomes[thread]
-        invocation, response, tracer = recorder.invocation, recorder.response, recorder.tracer
-        push, pop = OpName.PUSH, OpName.POP
-        try:
-            for op_id in range(process, config.total_ops + 1, config.threads):
-                trace = tracer(process, op_id)
-                if rng.random() < 0.5:  # half pushes, of values 1..100
-                    element = stack.make_element(rng.randrange(1, 101))
-                    invocation(process, op_id, push, element)
-                    stack.push(element, trace)
-                    response(process, op_id, True)
-                    mine.append((push, element))
-                else:
-                    invocation(process, op_id, pop)
-                    value = stack.pop(trace)
-                    response(process, op_id, value)
-                    mine.append((pop, value))
-        except BaseException as exc:  # surface harness faults, do not hang
-            failures.append(exc)
-
-    workers = [
-        threading.Thread(target=worker, args=(i,), name=f"stress-{i + 1}")
-        for i in range(config.threads)
-    ]
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # preempt often; widens the observable races
-    try:
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-    finally:
-        sys.setswitchinterval(old_interval)
-    if failures:
-        raise failures[0]
-    return StressResult(
-        config=config,
-        history=recorder.history(),
-        step_counts=recorder.step_counts(),
-        outcomes=outcomes,
-        stack=stack,
-    )
-
-
-def conservation_errors(result: StressResult) -> list[str]:
-    """Cross-check a drained run: every pushed element is either still on
-    the stack or was popped, nothing else was ever returned, and only the
-    relaxed stack may return one element more than once."""
-    pushed = [
-        value
-        for ops in result.outcomes
-        for name, value in ops
-        if name is OpName.PUSH and isinstance(value, Element)
-    ]
-    popped = [
-        value
-        for ops in result.outcomes
-        for name, value in ops
-        if name is OpName.POP and isinstance(value, Element)
-    ]
-    remaining = result.stack.logical_state()
-    errors = []
-    pushed_ids = {e.push_id for e in pushed}
-    if len(pushed_ids) != len(pushed):
-        errors.append("a push id was handed out twice")
-    for value in popped:
-        if value.push_id not in pushed_ids:
-            errors.append(f"popped {value} was never pushed")
-    overlap = {e.push_id for e in popped} & {e.push_id for e in remaining}
-    if overlap:
-        errors.append(f"ids both popped and still on the stack: {sorted(overlap)}")
-    accounted = {e.push_id for e in popped} | {e.push_id for e in remaining}
-    lost = pushed_ids - accounted
-    if lost:
-        errors.append(f"pushed ids neither popped nor on the stack: {sorted(lost)}")
-    if result.config.impl == "baseline" and result.shared_return_ids:
-        errors.append(
-            f"baseline returned ids more than once: {result.shared_return_ids}"
-        )
-    if isinstance(result.stack, RelaxedStack):
-        errors.extend(result.stack.invariant_violations)
-        result.stack.memory_snapshot()  # raises if the chain has a cycle
-    return errors
-
-
-# ---------------------------------------------------------------------------
-# Bench harness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    impl: str
-    threads: int
-    ops_per_thread: int
-    seconds: float
-
-    @property
-    def total_ops(self) -> int:
-        return self.threads * self.ops_per_thread
-
-    @property
-    def ops_per_sec(self) -> float:
-        return self.total_ops / self.seconds if self.seconds > 0 else float("inf")
-
-
-def bench_once(config: RunConfig) -> float:
-    """One timed run: no recording, operation plans drawn before the clock
-    starts.  Returns wall seconds from release to last join."""
-    stack = make_stack(config.impl, checked=False)
-    barrier = threading.Barrier(config.threads + 1)
-    pushed_lists: list[list[Element]] = [[] for _ in range(config.threads)]
-    popped_lists: list[list[Element]] = [[] for _ in range(config.threads)]
-    failures: list[BaseException] = []
-
-    def worker(thread: int) -> None:
-        rng = config.thread_rng(thread)
-        plan = [
-            (rng.random() < 0.5, rng.randrange(1, 101))  # half pushes, of values 1..100
-            for _ in range(config.ops_per_thread)
-        ]
-        pushed = pushed_lists[thread]
-        popped = popped_lists[thread]
-        try:
-            barrier.wait()
-            for is_push, value in plan:
-                if is_push:
-                    element = stack.make_element(value)
-                    stack.push(element)
-                    pushed.append(element)
-                else:
-                    result = stack.pop()
-                    if isinstance(result, Element):
-                        popped.append(result)
-        except BaseException as exc:
-            failures.append(exc)
-
-    workers = [threading.Thread(target=worker, args=(i,)) for i in range(config.threads)]
-    for w in workers:
-        w.start()
-    barrier.wait()
-    started = time.perf_counter()
-    for w in workers:
-        w.join()
-    elapsed = time.perf_counter() - started
-    if failures:
-        raise failures[0]
-
-    pushed_ids = {e.push_id for lst in pushed_lists for e in lst}
-    popped_ids = {e.push_id for lst in popped_lists for e in lst}
-    remaining_ids = {e.push_id for e in stack.logical_state()}
-    if popped_ids | remaining_ids != pushed_ids or popped_ids & remaining_ids:
-        raise AssertionError("bench run lost or invented elements")
-    return elapsed
-
-
-def run_bench(
-    impls: Sequence[str],
-    thread_counts: Sequence[int],
-    ops_per_thread: int,
-    seed: int,
-    repeats: int = 3,
-) -> list[BenchRow]:
-    rows = []
-    for impl in impls:
-        for threads in thread_counts:
-            config = RunConfig(
-                impl=impl,
-                threads=threads,
-                ops_per_thread=ops_per_thread,
-                seed=seed,
-            )
-            times = [bench_once(config) for _ in range(repeats)]
-            rows.append(BenchRow(impl, threads, ops_per_thread, statistics.median(times)))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +89,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         history = read_history(args.history)
-    except HistoryFormatError as exc:
-        print(f"MALFORMED: {exc}")
-        return 3
-    except OSError as exc:
+    except (HistoryFormatError, OSError) as exc:
         print(f"MALFORMED: {exc}")
         return 3
     checker = check_linearizable if args.mode == "lin" else check_set_linearizable
@@ -525,26 +238,20 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.ops_per_thread > 0:
-        rows = run_bench(
-            impls=args.impls,
-            thread_counts=args.threads,
-            ops_per_thread=args.ops_per_thread,
-            seed=args.seed,
-        )
-    else:
-        rows = []
     writer = csv.writer(sys.stdout)
     writer.writerow(["impl", "threads", "ops_per_thread", "total_ops", "seconds", "ops_per_sec"])
-    for row in rows:
+    if args.ops_per_thread == 0:
+        return 0
+    for config, seconds in run_bench(args.impls, args.threads, args.ops_per_thread, args.seed):
+        ops_per_sec = config.total_ops / seconds if seconds > 0 else float("inf")
         writer.writerow(
             [
-                row.impl,
-                row.threads,
-                row.ops_per_thread,
-                row.total_ops,
-                f"{row.seconds:.6f}",
-                f"{row.ops_per_sec:.1f}",
+                config.impl,
+                config.threads,
+                config.ops_per_thread,
+                config.total_ops,
+                f"{seconds:.6f}",
+                f"{ops_per_sec:.1f}",
             ]
         )
     return 0
@@ -637,15 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "seed"):
-        env_seed = os.environ.get("STACK_SEED")
-        if env_seed is not None:
-            try:
-                args.seed = int(env_seed)
-            except ValueError:
-                parser.error(f"STACK_SEED must be an integer, got {env_seed!r}")
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

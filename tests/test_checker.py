@@ -16,7 +16,7 @@ from multistack.checker import (
     group_classes,
     write_witness,
 )
-from multistack.cli import RunConfig, run_stress
+from multistack.harness import RunConfig, run_stress
 from multistack.elements import EMPTY, Element
 from multistack.history import (
     Event,

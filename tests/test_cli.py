@@ -4,22 +4,23 @@ from __future__ import annotations
 
 import csv
 import io
+import threading
 
 import pytest
 
+import multistack.harness as harness
 from multistack.baseline_stack import TreiberStack
-from multistack.cli import (
+from multistack.cli import all_program_mixes, history_shares_return, main
+from multistack.elements import EMPTY, Element
+from multistack.harness import (
     RunConfig,
     StressResult,
-    all_program_mixes,
+    bench_once,
     conservation_errors,
-    history_shares_return,
-    main,
     make_stack,
     run_bench,
     run_stress,
 )
-from multistack.elements import Element
 from multistack.history import (
     EventKind,
     History,
@@ -75,6 +76,56 @@ def test_same_seed_draws_the_same_plans():
 
     assert plan(runs[0]) == plan(runs[1])
     assert plan(runs[0]) != plan(run_stress(RunConfig(threads=3, ops_per_thread=20, seed=43)))
+
+
+def test_plans_push_a_value_or_pop():
+    # Per op: random() < 0.5 pushes, then randrange(1, 101) draws its value.
+    assert RunConfig(threads=2, ops_per_thread=4, seed=0).plans() == [
+        [None, None, 34, None],
+        [98, 16, 58, 49],
+    ]
+
+
+def test_bench_runs_the_stress_plans(monkeypatch):
+    config = RunConfig(threads=3, ops_per_thread=30, seed=9)
+
+    class Spy(RelaxedStack):
+        """Logs each thread's pushed values and pops, in order."""
+
+        def __init__(self, checked):
+            super().__init__(checked)
+            self.log = {}
+
+        def push(self, element, trace=None):
+            self.log.setdefault(threading.current_thread(), []).append(element.value)
+            return super().push(element, trace)
+
+        def pop(self, trace=None):
+            self.log.setdefault(threading.current_thread(), []).append(None)
+            return super().pop(trace)
+
+    stacks = []
+
+    def make_spy(impl, checked):
+        stacks.append(Spy(checked))
+        return stacks[-1]
+
+    monkeypatch.setattr(harness, "make_stack", make_spy)
+    run_stress(config)
+    bench_once(config)
+    stress_log, bench_log = (sorted(stack.log.values(), key=repr) for stack in stacks)
+    assert stress_log == bench_log == sorted(config.plans(), key=repr)
+
+
+def test_bench_raises_when_a_run_fails_conservation(monkeypatch):
+    class Leaky(TreiberStack):
+        def pop(self, trace=None):  # returns the top but leaves it there
+            top = self._top.get()
+            return EMPTY if top is None else top.element
+
+    monkeypatch.setattr(harness, "make_stack", lambda impl, checked: Leaky())
+    with pytest.raises(AssertionError, match="both popped and still on the stack"):
+        bench_once(RunConfig(impl="baseline", threads=1, ops_per_thread=20, seed=1))
 
 
 def test_stress_records_a_complete_history():
@@ -140,6 +191,16 @@ def test_conservation_rejects_baseline_duplicates():
         stack=stack,
     )
     assert any("more than once" in e for e in conservation_errors(result))
+
+
+def test_conservation_reports_a_cycle_in_the_chain():
+    result = run_stress(RunConfig(threads=1, ops_per_thread=6, seed=3))
+    top = deepest = result.stack._top.get()
+    while deepest.next is not None:
+        deepest = deepest.next
+    deepest.next = top
+    errors = conservation_errors(result)
+    assert any("reachable chain has a cycle" in e for e in errors), errors
 
 
 def test_program_mixes_enumerate_and_number_thread_major():
@@ -347,7 +408,7 @@ def test_replay_undecodable_fixture_is_malformed(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "schedule, fragment",
-    [("SCHED 1 1", "no operations left"), ("SCHED 2", "thread 2")],
+    [("SCHED 1 1", "no operations left"), ("SCHED 2", "thread 2"), ("SCHED 0", "thread 0")],
 )
 def test_replay_impossible_schedule_is_malformed(tmp_path, capsys, schedule, fragment):
     fixture = tmp_path / "overrun.txt"
@@ -422,35 +483,9 @@ def test_single_thread_throughput_is_comparable():
         ops_per_thread=20000,
         seed=1,
     )
-    seconds = {row.impl: row.seconds for row in rows}
+    seconds = {config.impl: median for config, median in rows}
     ratio = max(seconds.values()) / min(seconds.values())
     assert ratio < 2.0, f"single-thread medians differ by {ratio:.2f}x"
-
-
-# ---------------------------------------------------------------------------
-# seeding
-# ---------------------------------------------------------------------------
-
-
-def test_env_seed_overrides_the_flag(tmp_path, monkeypatch):
-    flag = tmp_path / "flag.history"
-    env = tmp_path / "env.history"
-    other = tmp_path / "other.history"
-    main(["stress", "-t", "1", "-n", "20", "--seed", "7", "-o", str(flag)])
-    monkeypatch.setenv("STACK_SEED", "7")
-    main(["stress", "-t", "1", "-n", "20", "--seed", "0", "-o", str(env)])
-    monkeypatch.setenv("STACK_SEED", "8")
-    main(["stress", "-t", "1", "-n", "20", "--seed", "0", "-o", str(other)])
-    assert flag.read_bytes() == env.read_bytes()
-    assert flag.read_bytes() != other.read_bytes()
-
-
-def test_env_seed_must_be_an_integer(monkeypatch, capsys):
-    monkeypatch.setenv("STACK_SEED", "lots")
-    with pytest.raises(SystemExit) as info:
-        main(["stress", "-t", "1", "-n", "1"])
-    assert info.value.code == 2
-    assert "STACK_SEED" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from multistack.cli import RunConfig, run_stress
+from multistack.harness import RunConfig, run_stress
 from multistack.elements import EMPTY, Element
 from multistack.history import (
     Event,
