@@ -25,10 +25,10 @@ Gong 1993, Lowe 2017).  The search tries ready classes in order of first
 invocation, depth first on an explicit stack.  It runs the model on
 interned states (hash-consing; Filliâtre & Conchon 2006): a stack is an
 id for its (stack below, push id on top) pair, so a transition and the
-memo key of a dead (remaining classes, state) pair cost O(1).  A refused
-transition is worded by the model itself (spec_machine.apply_class on the
-rebuilt state).  Accepted verdicts carry the witness ordering, which is
-independently replayed through the model and re-verified before being
+memo key of a dead (remaining classes, state) pair cost O(1).  A rejection
+words its deepest attempt's refusals by the model itself (apply_class on
+the rebuilt state).  Accepted verdicts carry the witness ordering, which
+is independently replayed through the model and re-verified before being
 returned; histories with more complete operations than the size cap come
 back undecided rather than silently truncated.
 """
@@ -245,8 +245,9 @@ def _search(
         raise AssertionError(f"the model applies {cls.describe()}; the search refused it")
 
     # One frame per placed class and the root: (state id, ready classes not
-    # yet tried, transitions refused).  Grouping rejects duplicate push ids,
-    # so a push is never refused.
+    # yet tried, (state id, class) per refused transition, worded only on
+    # rejection: interned states are never dropped).  Grouping rejects
+    # duplicate push ids, so a push is never refused.
     frames = [open_frame(0)]
     while frames:
         state, candidates, blocks = frames[-1]
@@ -268,7 +269,7 @@ def _search(
             ):
                 next_state = below[state]
             else:
-                blocks.append(refusal(state, cls))
+                blocks.append((state, cls))
                 continue
             after = remaining ^ 1 << p
             if not after:
@@ -289,7 +290,8 @@ def _search(
                 placed[p] = False
                 remaining ^= 1 << p
 
-    detail = "; ".join(best_blocks[:3]) or "no class is ready under the precedence order"
+    detail = "; ".join(refusal(*block) for block in best_blocks[:3])
+    detail = detail or "no class is ready under the precedence order"
     return None, (
         f"no precedence-respecting order of the {n} classes replays as a stack "
         f"(best attempt placed {best_depth} of {n}; then: {detail})"

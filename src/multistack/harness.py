@@ -5,7 +5,7 @@ thread's operations before any thread starts: thread i draws from its own
 generator, seeded by the run's seed and i, a pop or a push of a value
 1..100 with even odds, so a rerun with the same seed performs the same
 operations and differs only in interleaving.  drive starts one thread per
-plan with the interpreter's switch interval at SWITCH_INTERVAL, releases
+plan (two or more run at the switch interval SWITCH_INTERVAL), releases
 them together from a barrier, and returns what each operation pushed or
 popped and the seconds from the release to the last join.  A stress run
 drives a checked stack and records every operation; a bench run drives an
@@ -125,7 +125,7 @@ def drive(
         for i in range(len(plans))
     ]
     old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(SWITCH_INTERVAL)
+    sys.setswitchinterval(SWITCH_INTERVAL if len(plans) > 1 else old_interval)
     try:
         for w in workers:
             w.start()

@@ -47,7 +47,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
-from .elements import EMPTY, Element, _Empty
+from .elements import EMPTY, Element, _Empty, _new
 
 Payload = Union[Element, _Empty, bool, int, None]
 
@@ -92,11 +92,6 @@ class Event(NamedTuple):
     kind: EventKind
     name: OpName
     payload: Payload
-
-
-# Builds a named tuple from a plain one at C speed, skipping the Python-level
-# __new__ that checks nothing: _new(Event, (seq, process, ...)).
-_new = tuple.__new__
 
 
 class RecorderError(RuntimeError):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from multistack import checker
 from multistack.checker import (
     CheckOutcome,
     StructuralRefutation,
@@ -24,7 +25,7 @@ from multistack.history import (
     complete_operations,
     operations,
 )
-from multistack.spec_machine import ClassKind, replay
+from multistack.spec_machine import ClassKind, apply_class, replay
 from naive_oracle import (
     linearizable_by_enumeration,
     set_linearizable_by_enumeration,
@@ -234,6 +235,60 @@ def test_refused_transitions_are_worded_by_the_model(ops, blocker):
             f"no precedence-respecting order of the {len(ops)} classes replays as "
             f"a stack (best attempt {blocker})"
         )
+
+
+def test_refutation_words_every_refusal_of_the_first_deepest_attempt():
+    # The concurrent pushes reach depth 3 in two orders; the refusals are
+    # those of the first, (17, 11, 7), though the search ends in the other.
+    history = build_history(
+        [
+            ("inv", 1, 1, "push", E17),
+            ("inv", 2, 2, "push", E11),
+            ("res", 1, 1, True),
+            ("res", 2, 2, True),
+            ("inv", 1, 3, "push", E7),
+            ("res", 1, 3, True),
+            ("inv", 1, 4, "pop"),
+            ("inv", 2, 5, "pop"),
+            ("res", 1, 4, E17),
+            ("res", 2, 5, EMPTY),
+        ]
+    )
+    for check in (check_set_linearizable, check_linearizable):
+        assert check(history).refutation == (
+            "no precedence-respecting order of the 5 classes replays as a stack "
+            "(best attempt placed 3 of 5; then: pop[4]->v:17#1 but the top of "
+            "(v:17#1, v:11#2, v:7#3) is v:7#3; empty-pop applied to a non-empty state)"
+        )
+
+
+def test_an_accepted_check_words_no_refusal(monkeypatch):
+    # Pushes 1 and 2 overlap, and the search places 1 first, so popping
+    # v:17#1 is refused before the order 2, 1 is found.
+    history = build_history(
+        [
+            ("inv", 1, 1, "push", E17),
+            ("inv", 2, 2, "push", E11),
+            ("res", 1, 1, True),
+            ("res", 2, 2, True),
+            ("inv", 1, 3, "pop"),
+            ("res", 1, 3, E17),
+            ("inv", 1, 4, "pop"),
+            ("res", 1, 4, E11),
+        ]
+    )
+    worded = []
+
+    def counting_apply_class(state, cls):
+        worded.append(cls)
+        return apply_class(state, cls)
+
+    monkeypatch.setattr(checker, "apply_class", counting_apply_class)
+    for check in (check_set_linearizable, check_linearizable):
+        verdict = check(history)
+        assert verdict.accepted
+        assert [cls.op_ids for cls in verdict.witness] == [(2,), (1,), (3,), (4,)]
+    assert worded == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import threading
 
 import pytest
@@ -126,6 +127,39 @@ def test_bench_raises_when_a_run_fails_conservation(monkeypatch):
     monkeypatch.setattr(harness, "make_stack", lambda impl, checked: Leaky())
     with pytest.raises(AssertionError, match="both popped and still on the stack"):
         bench_once(RunConfig(impl="baseline", threads=1, ops_per_thread=20, seed=1))
+
+
+def test_drive_shortens_the_switch_interval_only_for_two_or_more_threads():
+    class Clocked(TreiberStack):
+        """Logs the switch interval each operation runs under."""
+
+        def __init__(self):
+            super().__init__()
+            self.intervals = set()
+
+        def push(self, element, trace=None):
+            self.intervals.add(sys.getswitchinterval())
+            return super().push(element, trace)
+
+        def pop(self, trace=None):
+            self.intervals.add(sys.getswitchinterval())
+            return super().pop(trace)
+
+    callers = 0.002
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(callers)
+    try:
+        seen = {}
+        for threads in (1, 2):
+            stack = Clocked()
+            harness.drive(RunConfig("baseline", threads, 50, seed=4), stack)
+            seen[threads] = stack.intervals
+            assert sys.getswitchinterval() == callers
+    finally:
+        sys.setswitchinterval(old_interval)
+    (one,), (two,) = seen[1], seen[2]  # each run under one interval throughout
+    assert one == callers
+    assert two == pytest.approx(harness.SWITCH_INTERVAL)  # stored in whole microseconds
 
 
 def test_stress_records_a_complete_history():

@@ -4,8 +4,13 @@ helping behavior, and real-thread stress with conservation checks."""
 from __future__ import annotations
 
 import random
+import sys
 import threading
+import time
 
+import pytest
+
+from multistack.baseline_stack import TreiberStack
 from multistack.elements import EMPTY, Element
 from multistack.history import OpName, Recorder
 from multistack.relaxed_stack import AtomicReference, RelaxedStack
@@ -58,6 +63,47 @@ def test_push_ids_are_unique():
     stack = RelaxedStack()
     ids = {stack.make_element(1).push_id for _ in range(100)}
     assert len(ids) == 100
+
+
+@pytest.mark.parametrize("make_stack", [RelaxedStack, TreiberStack])
+def test_push_ids_are_minted_once_each_across_threads(make_stack):
+    # Minting takes no lock; preempted as often as the interpreter allows,
+    # four threads must still get every id exactly once.
+    stack = make_stack()
+    threads, per_thread = 4, 5000
+    minted = [[] for _ in range(threads)]
+    start = threading.Barrier(threads)
+
+    def worker(thread: int) -> None:
+        keep, make_element = minted[thread].append, stack.make_element
+        start.wait(timeout=60)
+        for _ in range(per_thread):
+            keep(make_element(thread).push_id)
+            time.sleep(0)  # hand the GIL over, so the others mint in between
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+    assert sorted(i for ids in minted for i in ids) == list(range(1, threads * per_thread + 1))
+
+
+def test_element_is_an_immutable_value():
+    element = Element(5, 1)
+    assert element == Element(5, 1) and element is not Element(5, 1)
+    assert element != Element(5, 2) and element != Element(6, 1)
+    assert {element, Element(5, 1), Element(5, 2)} == {Element(5, 1), Element(5, 2)}
+    assert repr(element) == "v:5#1"
+    assert (element.value, element.push_id) == (5, 1)
+    with pytest.raises(AttributeError):
+        element.value = 6
 
 
 def test_logical_state_orders_deepest_first():
