@@ -24,13 +24,14 @@ first_res among the remaining classes (just-in-time linearization; Wing &
 Gong 1993, Lowe 2017).  The search tries ready classes in order of first
 invocation, depth first on an explicit stack.  It runs the model on
 interned states (hash-consing; Filliâtre & Conchon 2006): a stack is an
-id for its (stack below, push id on top) pair, so a transition and the
-memo key of a dead (remaining classes, state) pair cost O(1).  A rejection
-words its deepest attempt's refusals by the model itself (apply_class on
-the rebuilt state).  Accepted verdicts carry the witness ordering, which
-is independently replayed through the model and re-verified before being
-returned; histories with more complete operations than the size cap come
-back undecided rather than silently truncated.
+id for its (stack below, push id on top) pair, so a transition costs O(1).
+Each frame takes its ready window from its parent's and is memoized, when
+dead, by (state, window), so a frame costs about the window's width.  A
+rejection words its deepest attempt's refusals by the model itself
+(apply_class on the rebuilt state).  Accepted verdicts carry the witness
+ordering, which is independently replayed through the model and
+re-verified before being returned; histories with more complete operations
+than the size cap come back undecided rather than silently truncated.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def _search(
     Returns (order, "") on success or (None, refutation) on exhaustion.
     Model states are interned ids: 0 is the empty stack, and each (state
     below, push id on top) pair gets one id, so equal stacks share an id.
-    Search states are (remaining-class bitmask, state id); dead ones are
-    memoized so shared suffixes are refuted once.
+    Search states are (state id, ready window); dead ones are memoized so
+    shared suffixes are refuted once.
     """
     n = len(classes)
     if n == 0:
@@ -213,24 +214,20 @@ def _search(
     below = [0]  # state id -> id of the state under its top
     tops: list[Optional[Element]] = [None]  # state id -> element on top
     interned: dict[tuple[int, int], int] = {}  # (below, push id) -> state id
-    placed = [False] * n  # the complement of remaining, for O(1) lookups
-    remaining = (1 << n) - 1
-    prefix: list[int] = []
-    dead: set[tuple[int, int]] = set()
+    dead: set[tuple[int, ...]] = set()
     best_depth, best_blocks = -1, []
 
-    def open_frame(state: int) -> tuple:
+    def open_frame(state: int, window: list[int], end: int, p: Optional[int]) -> tuple:
         # The bound is the earliest first response among the remaining
         # classes; no class invoked after it can lower it or be ready.
-        lo = (remaining & -remaining).bit_length() - 1  # first unplaced class
-        window, bound = [], first_res[lo]
-        for p in range(lo, n):
-            if first_inv[p] > bound:
-                break
-            if not placed[p]:
-                window.append(p)
-                bound = min(bound, first_res[p])
-        return state, iter([p for p in window if last_inv[p] <= bound]), []
+        bound = min(map(first_res.__getitem__, window)) if window else first_res[end]
+        while end < n and first_inv[end] <= bound:
+            window.append(end)
+            if first_res[end] < bound:
+                bound = first_res[end]
+            end += 1
+        ready = iter([q for q in window if last_inv[q] <= bound])
+        return (state, *window), end, p, ready, []
 
     def refusal(state: int, cls: ConcurrencyClass) -> str:
         """The model's own reason for refusing cls in the given state."""
@@ -244,20 +241,27 @@ def _search(
             return str(exc)
         raise AssertionError(f"the model applies {cls.describe()}; the search refused it")
 
-    # One frame per placed class and the root: (state id, ready classes not
-    # yet tried, (state id, class) per refused transition, worded only on
-    # rejection: interned states are never dropped).  Grouping rejects
-    # duplicate push ids, so a push is never refused.
-    frames = [open_frame(0)]
+    # One frame per placed class and the root: ((state id, *window), end,
+    # the class placed to reach it, untried ready classes, (state id, class)
+    # per refusal, worded only on rejection: interned states are never
+    # dropped).  The window is the remaining classes invoked before the
+    # bound, in index order; end is the first class not yet scanned.  A
+    # class placed past the first remaining one was ready, so invoked before
+    # the bound of every remaining class: every class before end is placed
+    # or in the window, and (state, window) keys the dead memo as exactly as
+    # (remaining set, state).  Grouping rejects duplicate push ids, so a
+    # push is never refused.
+    frames = [open_frame(0, [], 0, None)]
     while frames:
-        state, candidates, blocks = frames[-1]
+        key, end, _, candidates, blocks = frames[-1]
+        state = key[0]
         for p in candidates:
             cls = ordered[p]
             if cls.kind is ClassKind.PUSH:
-                key = (state, cls.element.push_id)
-                next_state = interned.get(key)
+                pair = (state, cls.element.push_id)
+                next_state = interned.get(pair)
                 if next_state is None:
-                    next_state = interned[key] = len(below)
+                    next_state = interned[pair] = len(below)
                     below.append(state)
                     tops.append(cls.element)
             elif cls.kind is ClassKind.POP_EMPTY and not state:
@@ -271,24 +275,19 @@ def _search(
             else:
                 blocks.append((state, cls))
                 continue
-            after = remaining ^ 1 << p
-            if not after:
-                return tuple(ordered[q] for q in prefix + [p]), ""
-            if not dead or (after, next_state) not in dead:
-                placed[p] = True
-                remaining = after
-                prefix.append(p)
-                frames.append(open_frame(next_state))
+            if len(frames) == n:
+                return tuple(ordered[frame[2]] for frame in frames[1:]) + (cls,), ""
+            window = list(key[1:])
+            window.remove(p)
+            frame = open_frame(next_state, window, end, p)
+            if frame[0] not in dead:
+                frames.append(frame)
                 break
         else:
-            if len(prefix) > best_depth:
-                best_depth, best_blocks = len(prefix), blocks
-            dead.add((remaining, state))
+            if len(frames) > best_depth + 1:
+                best_depth, best_blocks = len(frames) - 1, blocks
+            dead.add(key)
             frames.pop()
-            if prefix:
-                p = prefix.pop()
-                placed[p] = False
-                remaining ^= 1 << p
 
     detail = "; ".join(refusal(*block) for block in best_blocks[:3])
     detail = detail or "no class is ready under the precedence order"

@@ -291,6 +291,30 @@ def test_an_accepted_check_words_no_refusal(monkeypatch):
     assert worded == []
 
 
+def test_a_pop_open_across_thousands_of_operations_shares_a_return():
+    # Process 1's pop stays in the ready window while 4,000 push/pop pairs
+    # are placed, then shares pair 2,000's element with that pair's pop.
+    script = [("inv", 1, 1, "pop")]
+    for i in range(4000):
+        element = Element(i % 100, i + 1)
+        script += [
+            ("inv", 2, 2 * i + 2, "push", element),
+            ("res", 2, 2 * i + 2, True),
+            ("inv", 2, 2 * i + 3, "pop"),
+            ("res", 2, 2 * i + 3, element),
+        ]
+    script.append(("res", 1, 1, Element(0, 2001)))
+    history = build_history(script)
+    verdict = check_set_linearizable(history, max_ops=8001)
+    assert verdict.accepted
+    assert verdict.witness[4001].op_ids == (1, 4003)
+    assert check_linearizable(history, max_ops=8001).refutation == (
+        "no precedence-respecting order of the 8001 classes replays as a stack "
+        "(best attempt placed 8000 of 8001; then: pop[1]->v:0#2001 applied to "
+        "the empty state)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Linearizability mode
 # ---------------------------------------------------------------------------

@@ -3,23 +3,28 @@
     python tools/bench_checker.py --before <git rev> -o BENCH_checker.json
 
 Records one two-thread stress history per size (`multistack stress -t 2
---seed 1`, 256 to 16,384 operations) with the working tree, then times
-`check_set_linearizable` on the same files with the package of the working
-tree ("after") and with that of the given revision ("before", unpacked by
-`git archive`).  Every check runs in a fresh interpreter capped at 2 GiB
-of address space and 300 s, so a checker that recurses too deeply, runs
-out of memory or stalls records that outcome instead of a time, and an
-offset that lasts for one interpreter's life (its hash seed, where its
-memory landed) falls on one check only.  The trees check each file in
-rounds, one check each per round, alternating which goes first, so a
-change in the host's speed falls on both trees alike.  Rounds continue
-until each tree has spent 3 s checking (at least 3 rounds, at most 101),
-so short checks get many rounds; a check that fails or takes over 10 s
-ends the rounds.  Seconds are wall clock from the call to its outcome (a
-verdict or the error), not counting interpreter start-up or loading the
-file: the median and quartiles over the rounds, with the number of
-rounds the after tree was faster; `peak_rss_mb` is the largest peak
-resident memory of a tree's interpreters.
+--seed 1`, 256 to 16,384 operations) with the working tree, and writes two
+long-open-pop histories (4,096 and 16,384 operations): process 1 pushes,
+then invokes a pop that stays open while process 2 runs push/pop pairs,
+and returns the last pair's element, a shared return.  Those two are
+built, not recorded, so they are the same bytes on every run and their
+rows compare between output files; the recorded rows depend on that run's
+interleavings.  It then times `check_set_linearizable` on the files with
+the package of the working tree ("after") and with that of the given
+revision ("before", unpacked by `git archive`).  Every check runs in a
+fresh interpreter capped at 2 GiB of address space and 300 s, so a checker
+that recurses too deeply, runs out of memory or stalls records that
+outcome instead of a time, and an offset that lasts for one interpreter's
+life (its hash seed, where its memory landed) falls on one check only.
+The trees check each file in rounds, one check each per round, alternating
+which goes first, so a change in the host's speed falls on both trees
+alike.  Rounds continue until each tree has spent 3 s checking (at least 3
+rounds, at most 101), so short checks get many rounds; a check that fails
+or takes over 10 s ends the rounds.  Seconds are wall clock from the call
+to its outcome (a verdict or the error), not counting interpreter start-up
+or loading the file: the median and quartiles over the rounds, with the
+number of rounds the after tree was faster; `peak_rss_mb` is the largest
+peak resident memory (VmHWM) of a tree's interpreters.
 """
 
 from __future__ import annotations
@@ -40,11 +45,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (256, 1024, 4096, 16384)
+LONG_OPEN_POP_SIZES = (4096, 16384)
 LIMIT_BYTES = 2 << 30
 TIMEOUT_S = 300
 BUDGET_S = 3.0  # checking time per tree and size
 MIN_ROUNDS, MAX_ROUNDS = 3, 101
 LONG_S = 10.0  # a check this slow is not repeated
+
+
+def write_long_open_pop(path: Path, ops: int) -> None:
+    """Write the long-open-pop history of ops operations (see above)."""
+    from multistack.elements import Element
+    from multistack.history import Event, EventKind, History, OpName, write_history
+
+    events: list[Event] = []
+
+    def emit(process, op_id, kind, name, payload) -> None:
+        events.append(Event(len(events), process, op_id, kind, name, payload))
+
+    inv, res, push, pop = EventKind.INVOCATION, EventKind.RESPONSE, OpName.PUSH, OpName.POP
+    emit(1, 1, inv, push, Element(0, 1))
+    emit(1, 1, res, push, True)
+    emit(1, 2, inv, pop, None)
+    pairs = (ops - 2) // 2
+    for i in range(pairs):
+        element = Element(i % 100, i + 2)
+        emit(2, 2 * i + 3, inv, push, element)
+        emit(2, 2 * i + 3, res, push, True)
+        emit(2, 2 * i + 4, inv, pop, None)
+        emit(2, 2 * i + 4, res, pop, element)
+    emit(1, 2, res, pop, element)
+    write_history(History(tuple(events)), path)
 
 
 def check_in_this_process(src: str, path: str) -> None:
@@ -65,8 +96,19 @@ def check_in_this_process(src: str, path: str) -> None:
         "outcome": outcome,
         "failed": failed,
         "seconds": time.perf_counter() - start,
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": peak_rss_mb(),
     }))
+
+
+def peak_rss_mb() -> float:
+    """This interpreter's own peak resident memory.  Not ru_maxrss: Linux
+    carries that across the exec from the spawning process, so every check
+    would read at least the tool's own resident size."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return round(int(line.split()[1]) / 1024, 1)
+    raise RuntimeError("no VmHWM line in /proc/self/status")
 
 
 def time_check(src: Path, path: Path) -> dict:
@@ -129,14 +171,21 @@ def main(argv=None) -> int:
         )
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(work / "before", filter="data")
+        histories = []
         for size in SIZES:
             path = work / f"stress-{size}.history"
             argv = ["stress", "-t", "2", "-n", str(size // 2), "--seed", "1", "-o", str(path)]
             if multistack(argv) != 0:
                 raise SystemExit(f"stress run of {size} ops failed")
-            row = {"ops": size}
+            histories.append(("recorded stress", size, path))
+        for size in LONG_OPEN_POP_SIZES:
+            path = work / f"long-open-pop-{size}.history"
+            write_long_open_pop(path, size)
+            histories.append(("long open pop", size, path))
+        for kind, size, path in histories:
+            row = {"history": kind, "ops": size}
             row.update(time_checks({"before": work / "before" / "src", "after": ROOT / "src"}, path))
-            print(size, row, flush=True)
+            print(kind, size, row, flush=True)
             results.append(row)
     report = {
         "command": f"python tools/bench_checker.py --before {args.before} -o {args.output}",
@@ -144,9 +193,11 @@ def main(argv=None) -> int:
         f"{platform.machine()}, {len(os.sched_getaffinity(0))} CPUs",
         "before": args.before,
         "after": "working tree",
-        "what": "wall-clock seconds of check_set_linearizable on one recorded two-thread "
-        "stress history, one fresh interpreter per check, median and quartiles over "
-        "rounds that alternate the two trees, not corrected for the host's speed",
+        "what": "wall-clock seconds of check_set_linearizable on one history per row, "
+        "either a recorded two-thread stress history (new bytes on every run) or a "
+        "built long-open-pop history (the same bytes on every run), one fresh "
+        "interpreter per check, median and quartiles over rounds that alternate the "
+        "two trees, not corrected for the host's speed",
         "results": results,
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
