@@ -31,13 +31,7 @@ from .simulator import (
     progress_probe,
     replay_scenario,
 )
-from .spec_machine import (
-    ConcurrencyClass,
-    apply_pop_class,
-    apply_pop_empty,
-    apply_push,
-    replay,
-)
+from .spec_machine import ConcurrencyClass, apply_class, replay
 
 __all__ = [
     "AtomicReference",
@@ -57,9 +51,7 @@ __all__ = [
     "Scenario",
     "TreiberStack",
     "Verdict",
-    "apply_pop_class",
-    "apply_pop_empty",
-    "apply_push",
+    "apply_class",
     "check_linearizable",
     "check_set_linearizable",
     "concurrent",

@@ -45,6 +45,7 @@ from .history import (
     OperationRecord,
     OpName,
     complete_operations,
+    concurrent,
     format_payload,
 )
 from .spec_machine import (
@@ -159,7 +160,7 @@ def group_classes(
     for push_id, members in sorted(shared_pops.items()):
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
-                if not _overlap(a, b):
+                if not concurrent(a, b):
                     raise StructuralRefutation(
                         f"ops {a.op_id} and {b.op_id} both popped id #{push_id} "
                         "but do not overlap in real time"
@@ -168,11 +169,6 @@ def group_classes(
         assert isinstance(element, Element)
         classes.append(pop_group_class([m.op_id for m in members], element))
     return classes
-
-
-def _overlap(a: OperationRecord, b: OperationRecord) -> bool:
-    assert a.responded_at is not None and b.responded_at is not None
-    return not (a.responded_at < b.invoked_at or b.responded_at < a.invoked_at)
 
 
 # ---------------------------------------------------------------------------

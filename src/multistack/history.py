@@ -170,9 +170,6 @@ class Recorder:
         name = self._pending.pop(process)[1]
         self._log.append((process, op_id, _RESPONSE, name, value))
 
-    def step(self, process: int, op_id: int, line: int) -> None:
-        self.tracer(process, op_id)(line)
-
     def tracer(self, process: int, op_id: int) -> Callable[[int], None]:
         """The step callback of one operation, for a stack to call per line."""
         pending = self._pending

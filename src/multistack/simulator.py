@@ -45,8 +45,8 @@ class ScheduleError(Exception):
 
 
 class FixtureFormatError(ValueError):
-    def __init__(self, lineno: int, message: str) -> None:
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: Optional[int], message: str) -> None:
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -558,11 +558,13 @@ def parse_fixture(text: str) -> Scenario:
     if initial is None:
         initial = []
     if not ops:
-        raise FixtureFormatError(0, "fixture plans no operations")
+        raise FixtureFormatError(None, "fixture plans no operations")
 
-    thread_count = max(thread for _, thread, _ in ops)
-    if {thread for _, thread, _ in ops} != set(range(1, thread_count + 1)):
-        raise FixtureFormatError(0, "threads must be numbered 1..n without gaps")
+    planned = {thread for _, thread, _ in ops}
+    for lineno, thread, _ in ops:  # blame the first OP line above a missing thread
+        if not planned.issuperset(range(1, thread)):
+            raise FixtureFormatError(lineno, "threads must be numbered 1..n without gaps")
+    thread_count = max(planned)
 
     next_id = 1
     memory = []

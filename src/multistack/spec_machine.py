@@ -1,13 +1,13 @@
 """Set-sequential reference model of a stack whose pops may share a return.
 
 The model state is the sequence of currently-present elements, deepest
-first; the top of the stack is the last entry.  Transitions consume whole
-concurrency classes rather than single operations:
+first; the top of the stack is the last entry.  Its one transition,
+apply_class, consumes a whole concurrency class rather than one operation:
 
 * a Push class (always a singleton) appends its element at the end;
-* a Pop class of k members removes the last element exactly once, and all
-  k members return that element;
-* a Pop class on the empty state (also a singleton) returns EMPTY and
+* a Pop class of k members removes the last element exactly once; the
+  class carries the element its k members returned, which must be the top;
+* a Pop class on the empty state (also a singleton) returned EMPTY and
   leaves the state unchanged.
 
 Restricted to singleton classes this is the classical sequential stack.
@@ -18,15 +18,13 @@ is deliberately tiny, pure, and total over validated inputs.
 from __future__ import annotations
 
 from enum import Enum, auto
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
-from .elements import EMPTY, Element, _Empty
+from .elements import Element
 
 SpecState = tuple[Element, ...]
 
 EMPTY_STATE: SpecState = ()
-
-ResultValue = Union[Element, _Empty, bool]
 
 
 class TransitionError(ValueError):
@@ -35,13 +33,6 @@ class TransitionError(ValueError):
 
 class MalformedClassError(ValueError):
     """A concurrency class is structurally invalid regardless of state."""
-
-
-class SpecResponse(NamedTuple):
-    """Return value handed to one member operation of an applied class."""
-
-    op_id: int
-    result: ResultValue
 
 
 # ---------------------------------------------------------------------------
@@ -106,40 +97,28 @@ def pop_group_class(op_ids: Sequence[int], element: Element) -> ConcurrencyClass
 
 
 # ---------------------------------------------------------------------------
-# Transitions
+# The transition
 # ---------------------------------------------------------------------------
 
 
-def apply_push(
-    state: SpecState, element: Element, op_id: int = 0
-) -> tuple[SpecState, SpecResponse]:
-    """Append element at the top.  Rejects a push id already present."""
-    if any(e.push_id == element.push_id for e in state):
-        raise TransitionError(f"push id {element.push_id} already on the stack")
-    return state + (element,), SpecResponse(op_id, True)
-
-
-def apply_pop_class(
-    state: SpecState, k: int, op_ids: Optional[Sequence[int]] = None
-) -> tuple[SpecState, list[SpecResponse]]:
-    """Remove the top element once; all k member pops return it."""
-    if k < 1:
-        raise TransitionError(f"pop class needs at least one member, got k={k}")
+def apply_class(state: SpecState, cls: ConcurrencyClass) -> SpecState:
+    """Apply one class and return the next state, or raise TransitionError
+    if it is not applicable.  A pop class names its return, so applying
+    it checks that return against the top."""
+    kind, _, element = cls
+    if kind is _PUSH:
+        if any(e.push_id == element.push_id for e in state):
+            raise TransitionError(f"push id {element.push_id} already on the stack")
+        return state + (element,)
+    if kind is _POP_EMPTY:
+        if state:
+            raise TransitionError("empty-pop applied to a non-empty state")
+        return state
     if not state:
-        raise TransitionError("pop class applied to the empty state")
-    if op_ids is None:
-        op_ids = range(k)
-    elif len(op_ids) != k:
-        raise MalformedClassError(f"got {len(op_ids)} op ids for a class of {k}")
-    top = state[-1]
-    return state[:-1], [SpecResponse(i, top) for i in op_ids]
-
-
-def apply_pop_empty(state: SpecState, op_id: int = 0) -> tuple[SpecState, SpecResponse]:
-    """Pop on the empty stack: returns EMPTY, state unchanged."""
-    if state:
-        raise TransitionError("empty-pop applied to a non-empty state")
-    return state, SpecResponse(op_id, EMPTY)
+        raise TransitionError(f"{cls.describe()} applied to the empty state")
+    if state[-1] != element:
+        raise TransitionError(f"{cls.describe()} but the top of {state} is {state[-1]}")
+    return state[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +131,6 @@ class ReplayVerdict(NamedTuple):
     failed_index: Optional[int] = None
     reason: Optional[str] = None
     final_state: SpecState = EMPTY_STATE
-    responses: tuple[SpecResponse, ...] = ()
 
 
 def replay(classes: Sequence[ConcurrencyClass]) -> ReplayVerdict:
@@ -167,44 +145,18 @@ def replay(classes: Sequence[ConcurrencyClass]) -> ReplayVerdict:
     """
     stack: list[Element] = []  # the state, deepest first
     present: set[int] = set()  # the push ids in stack
-    responses: list[SpecResponse] = []
     for index, cls in enumerate(classes):
-        kind, op_ids, element = cls
+        kind, _, element = cls
         if kind is _PUSH and element.push_id not in present:
             stack.append(element)
             present.add(element.push_id)
-            responses.append(SpecResponse(op_ids[0], True))
         elif kind is _POP_GROUP and stack and (stack[-1] is element or stack[-1] == element):
-            top = stack.pop()
-            present.remove(top.push_id)
-            responses.extend([SpecResponse(op_id, top) for op_id in op_ids])
+            present.remove(stack.pop().push_id)
         else:
             try:
-                state, step_responses = apply_class(tuple(stack), cls)
+                state = apply_class(tuple(stack), cls)
             except TransitionError as exc:
                 return ReplayVerdict(False, failed_index=index, reason=str(exc))
             stack = list(state)
             present = {e.push_id for e in state}
-            responses.extend(step_responses)
-    return ReplayVerdict(True, final_state=tuple(stack), responses=tuple(responses))
-
-
-def apply_class(
-    state: SpecState, cls: ConcurrencyClass
-) -> tuple[SpecState, list[SpecResponse]]:
-    """Apply one class, or raise TransitionError if it is not applicable."""
-    if cls.kind is _PUSH:
-        assert cls.element is not None
-        state, response = apply_push(state, cls.element, cls.op_ids[0])
-        return state, [response]
-    if cls.kind is _POP_EMPTY:
-        state, response = apply_pop_empty(state, cls.op_ids[0])
-        return state, [response]
-    assert cls.element is not None
-    if not state:
-        raise TransitionError(f"{cls.describe()} applied to the empty state")
-    if state[-1] != cls.element:
-        raise TransitionError(
-            f"{cls.describe()} but the top of {state} is {state[-1]}"
-        )
-    return apply_pop_class(state, len(cls.op_ids), cls.op_ids)
+    return ReplayVerdict(True, final_state=tuple(stack))

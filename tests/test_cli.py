@@ -433,6 +433,13 @@ def test_replay_malformed_fixture(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().out
 
 
+def test_replay_fixture_without_operations(tmp_path, capsys):
+    fixture = tmp_path / "empty.txt"
+    fixture.write_text("# nothing planned yet\n\n", encoding="utf-8")
+    assert main(["replay", str(fixture)]) == 3
+    assert capsys.readouterr().out == "MALFORMED: fixture plans no operations\n"
+
+
 def test_replay_undecodable_fixture_is_malformed(tmp_path, capsys):
     fixture = tmp_path / "binary.txt"
     fixture.write_bytes(b"OP 1 POP\nSCHED 1 \xff\n")

@@ -54,7 +54,7 @@ E2 = Element(9, 2)
 def test_recorder_assigns_gapless_sequence():
     recorder = Recorder()
     recorder.invocation(1, 1, OpName.PUSH, E1)
-    recorder.step(1, 1, 3)
+    recorder.tracer(1, 1)(3)
     recorder.response(1, 1, True)
     recorder.invocation(1, 2, OpName.POP)
     recorder.response(1, 2, E1)
@@ -83,7 +83,7 @@ def test_recorder_rejects_mismatched_response():
 def test_recorder_rejects_orphan_step_and_response():
     recorder = Recorder()
     with pytest.raises(RecorderError):
-        recorder.step(1, 1, 3)
+        recorder.tracer(1, 1)(3)
     with pytest.raises(RecorderError):
         recorder.response(1, 1, True)
 
@@ -97,8 +97,9 @@ def test_recorder_rejects_push_without_argument():
 def test_recorder_step_counting_mode():
     recorder = Recorder()
     recorder.invocation(1, 1, OpName.POP)
-    recorder.step(1, 1, 16)
-    recorder.step(1, 1, 16)
+    step = recorder.tracer(1, 1)
+    step(16)
+    step(16)
     recorder.response(1, 1, EMPTY)
     history = recorder.history()
     assert [e.kind for e in history.events] == [EventKind.INVOCATION, EventKind.RESPONSE]
@@ -115,7 +116,7 @@ def test_recorder_under_contention_stays_well_formed():
         for i in range(ops_per_thread):
             op_id = thread * ops_per_thread + i + 1
             recorder.invocation(process, op_id, OpName.POP)
-            recorder.step(process, op_id, 16)
+            recorder.tracer(process, op_id)(16)
             recorder.response(process, op_id, EMPTY)
 
     workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
@@ -141,8 +142,9 @@ def test_recorder_counts_every_step_under_preemption():
         for i in range(ops_per_thread):
             op_id = thread * ops_per_thread + i + 1
             recorder.invocation(process, op_id, OpName.PUSH, Element(i, op_id))
+            step = recorder.tracer(process, op_id)
             for line in (3, 4, 6):
-                recorder.step(process, op_id, line)
+                step(line)
             recorder.response(process, op_id, True)
             if i == ops_per_thread // 2:
                 counted_midway.append(recorder.step_counts())
@@ -311,13 +313,10 @@ def test_operations_returns_a_fresh_list_each_call():
 
 
 def test_records_are_immutable_values():
-    from multistack.spec_machine import SpecResponse
-
     def build():
         return (
             Event(0, 1, 1, EventKind.INVOCATION, OpName.PUSH, Element(5, 1)),
             OperationRecord(1, 1, OpName.PUSH, Element(5, 1), True, 0, 1),
-            SpecResponse(1, Element(5, 1)),
         )
 
     for first, second in zip(build(), build()):

@@ -377,11 +377,15 @@ def test_parse_fixture_mints_ids_deterministically():
         ("INIT (1,X)\nOP 1 POP", 1),
         ("INIT 1,F\nOP 1 POP", 1),
         ("OP 1 POP\nSCHED x", 2),
-        ("OP 2 POP", 0),
-        ("INIT (1,F)", 0),
+        ("OP 2 POP", 1),
+        ("OP 1 POP\n# no thread 2\nOP 1 PUSH 4\nOP 3 POP\nOP 4 POP", 4),
+        ("INIT (1,F)", None),
+        ("# comments only\n\n", None),
     ],
 )
 def test_parse_fixture_errors_carry_line_numbers(text, lineno):
+    # A fixture with no OP line has no line at fault; a gap in the thread
+    # numbers is blamed on the first OP line naming a thread above it.
     with pytest.raises(FixtureFormatError) as info:
         parse_fixture(text)
     assert info.value.lineno == lineno
