@@ -7,9 +7,10 @@ generator, seeded by the run's seed and i, a pop or a push of a value
 operations and differs only in interleaving.  drive starts one thread per
 plan (two or more run at the switch interval SWITCH_INTERVAL), releases
 them together from a barrier, and returns what each operation pushed or
-popped and the seconds from the release to the last join.  A stress run
-drives a checked stack and records every operation; a bench run drives an
-unchecked one, records nothing and keeps the time.  Both then cross-check
+popped, the seconds from the release to the last join, and the steps
+per pseudocode line.  A stress run drives a checked stack, records every
+operation and counts its steps; a bench run drives an unchecked one,
+records and counts nothing and keeps the time.  Both then cross-check
 the drained stack with conservation_errors.
 """
 
@@ -76,18 +77,22 @@ class RunConfig:
 
 def drive(
     config: RunConfig, stack: Stack, recorder: Optional[Recorder] = None
-) -> tuple[Outcomes, float]:
+) -> tuple[Outcomes, float, Counter[int]]:
     """Run config's plans on stack, one thread each, released together.
 
-    Returns each thread's outcomes and the wall seconds from the release to
-    the last join.  Every thread performs its whole plan, so joining them
-    drains the run: afterwards nothing is in flight.  With a recorder,
-    thread i records as process i+1 and numbers its operations i+1, i+1+T,
-    i+1+2T, ..., so the op ids are 1..total_ops, each used once, and no
-    thread waits for another to get one.  The recorder takes no lock either.
+    Returns each thread's outcomes, the wall seconds from the release to
+    the last join, and the steps per pseudocode line.  Every thread
+    performs its whole plan, so joining them drains the run: afterwards
+    nothing is in flight.  With a recorder, thread i records as process
+    i+1 and numbers its operations i+1, i+1+T, i+1+2T, ..., so the op ids
+    are 1..total_ops, each used once, and no thread waits for another to
+    get one.  The recorder takes no lock either, and each thread counts
+    its stack's trace calls per line in a Counter of its own; drive sums
+    them after the join.  Without a recorder nothing is traced.
     """
     plans = config.plans()
     results: list[list[object]] = [[] for _ in plans]
+    steps: list[Counter[int]] = [Counter() for _ in plans]
     failures: list[BaseException] = []
     barrier = threading.Barrier(len(plans) + 1)
     recording = recorder is not None
@@ -97,14 +102,17 @@ def drive(
         keep = results[thread].append
         push, pop, make_element = stack.push, stack.pop, stack.make_element
         PUSH, POP = OpName.PUSH, OpName.POP
-        if recording:
-            invocation, response, tracer = recorder.invocation, recorder.response, recorder.tracer
         trace = None
+        if recording:
+            invocation, response = recorder.invocation, recorder.response
+            counts = steps[thread]
+
+            def trace(line: int) -> None:
+                counts[line] += 1
+
         try:
             barrier.wait()
             for op_id, value in zip(itertools.count(process, len(plans)), plans[thread]):
-                if recording:
-                    trace = tracer(process, op_id)
                 if value is None:
                     if recording:
                         invocation(process, op_id, POP)
@@ -145,7 +153,7 @@ def drive(
         [(OpName.POP if value is None else OpName.PUSH, kept) for value, kept in zip(plan, done)]
         for plan, done in zip(plans, results)
     ]
-    return outcomes, seconds
+    return outcomes, seconds, sum(steps, Counter())
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +217,11 @@ def run_stress(config: RunConfig) -> StressResult:
     """Drive a checked stack with config's plans, recording every operation."""
     stack = make_stack(config.impl, checked=True)
     recorder = Recorder()
-    outcomes, _ = drive(config, stack, recorder)
+    outcomes, _, step_counts = drive(config, stack, recorder)
     return StressResult(
         config=config,
         history=recorder.history(),
-        step_counts=recorder.step_counts(),
+        step_counts=step_counts,
         outcomes=outcomes,
         stack=stack,
     )
@@ -272,7 +280,7 @@ def bench_once(config: RunConfig) -> float:
     seconds from release to last join; raises AssertionError if the run
     fails conservation."""
     stack = make_stack(config.impl, checked=False)
-    outcomes, seconds = drive(config, stack)
+    outcomes, seconds, _ = drive(config, stack)
     errors = conservation_errors(StressResult(config, History(()), {}, outcomes, stack))
     if errors:
         raise AssertionError(f"bench run failed conservation: {'; '.join(errors)}")
@@ -284,12 +292,11 @@ def run_bench(
     thread_counts: Sequence[int],
     ops_per_thread: int,
     seed: int,
-    repeats: int = 3,
 ) -> list[tuple[RunConfig, float]]:
-    """Each configuration with the median seconds of its repeated bench runs."""
+    """Each configuration with the median seconds of three bench runs."""
     rows = []
     for impl in impls:
         for threads in thread_counts:
             config = RunConfig(impl, threads, ops_per_thread, seed)
-            rows.append((config, statistics.median(bench_once(config) for _ in range(repeats))))
+            rows.append((config, statistics.median(bench_once(config) for _ in range(3))))
     return rows

@@ -18,9 +18,9 @@ and NAME one of PUSH/POP.  PAYLOAD is one of
 The `-` payload appears on POP invocations and nowhere else.  Files are
 UTF-8, newline-terminated, sorted by SEQ.  This format is the contract
 between the CLI subcommands: whatever records a run writes it, and the
-checker reads it back.  Live runs (the Recorder) write INV/RES events only
-and tally their steps per line; the deterministic simulator also writes
-its STEP events, which are exact and in effect order.
+checker reads it back.  Live runs (the Recorder) write INV/RES events
+only; the deterministic simulator also writes its STEP events, which are
+exact and in effect order.
 
 The Recorder takes no lock.  Each process records from one thread, and
 every invocation and response is one list.append, which is atomic under
@@ -41,11 +41,10 @@ parse_event, which words every error.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .elements import EMPTY, Element, _Empty, _new
 
@@ -130,24 +129,18 @@ class Recorder:
     the operation's first shared action and its response after the last,
     so that order respects real time.  history() numbers the events by
     position, which makes the sequence numbers gapless and unique.
-    Per-process well-formedness (invoke, then steps, then respond) is
-    enforced here, on state that only the process's own thread writes, so
-    a harness bug cannot masquerade as an interesting history.
+    Per-process well-formedness (invoke, then respond) is enforced here, on
+    state that only the process's own thread writes, so a harness bug
+    cannot masquerade as an interesting history.
 
-    Steps are tallied per process and line number, not stored: the history
-    holds the INV/RES events only.  A live step callback fires after its
-    action, so its place among other threads' events would not be its
-    effect order.  tracer(process, op_id) is the callback a stack calls for
-    each traced line: one call that checks the operation is still pending
-    and bumps a counter only that process's thread writes.  step_counts()
-    sums the per-process tallies; it is exact once the recording threads
-    are done.
+    Steps are not recorded: a live step callback fires after its action,
+    so its place among other threads' events would not be its effect
+    order.  A harness that wants per-line step counts keeps them itself.
     """
 
     def __init__(self) -> None:
         self._log: list[tuple[int, int, EventKind, OpName, Payload]] = []
         self._pending: dict[int, tuple[int, OpName]] = {}  # process -> (op id, name)
-        self._step_counts: dict[int, dict[int, int]] = {}  # process -> line -> steps
 
     def invocation(
         self, process: int, op_id: int, name: OpName, argument: Optional[Element] = None
@@ -166,38 +159,6 @@ class Recorder:
         self._log.append((process, op_id, _INVOCATION, name, argument))
 
     def response(self, process: int, op_id: int, value: Payload) -> None:
-        self._require_pending(process, op_id)
-        name = self._pending.pop(process)[1]
-        self._log.append((process, op_id, _RESPONSE, name, value))
-
-    def tracer(self, process: int, op_id: int) -> Callable[[int], None]:
-        """The step callback of one operation, for a stack to call per line."""
-        pending = self._pending
-        counts = self._step_counts.get(process)
-        if counts is None:
-            counts = self._step_counts[process] = {}
-
-        def step(line: int) -> None:
-            entry = pending.get(process)
-            if entry is None or entry[0] != op_id:
-                self._require_pending(process, op_id)
-            counts[line] = counts.get(line, 0) + 1
-
-        return step
-
-    def history(self) -> "History":
-        log = self._log[:]  # one C-level copy: safe beside live appends
-        return History(tuple([_new(Event, (seq, *entry)) for seq, entry in enumerate(log)]))
-
-    def step_counts(self) -> dict[int, int]:
-        totals: Counter[int] = Counter()
-        # dict(d) copies at C level, like the FAQ's atomic D1.update(D2):
-        # safe beside a live tracer adding its process's tally.
-        for counts in dict(self._step_counts).values():
-            totals.update(dict(counts))
-        return dict(totals)
-
-    def _require_pending(self, process: int, op_id: int) -> None:
         pending = self._pending.get(process)
         if pending is None:
             raise RecorderError(f"process {process} has no pending operation")
@@ -206,6 +167,12 @@ class Recorder:
                 f"process {process} recorded for op {op_id} while op "
                 f"{pending[0]} is pending"
             )
+        del self._pending[process]
+        self._log.append((process, op_id, _RESPONSE, pending[1], value))
+
+    def history(self) -> "History":
+        log = self._log[:]  # one C-level copy: safe beside live appends
+        return History(tuple([_new(Event, (seq, *entry)) for seq, entry in enumerate(log)]))
 
 
 # ---------------------------------------------------------------------------

@@ -470,16 +470,16 @@ def progress_probe(
     )
 
 
-def probe_budget(config: SimConfig, slack: int = 6) -> int:
-    """The step allowance used by the sweep: slack slots per node still
-    reachable from the top, plus slack for the empty case.  Deleted but
+def probe_budget(config: SimConfig) -> int:
+    """The step allowance used by the sweep: six slots per node still
+    reachable from the top, plus six for the empty case.  Deleted but
     not yet unlinked nodes count: each one can cost a traversing thread a
     help round, so the bound must pay for them.  Counting only undeleted
     nodes is genuinely too tight: park a pop between its flag write and
     its swing and the chain holds a deleted top with nothing live behind
     it, yet a fresh push still needs a failed swing, a reread, a help and
     a retry before it lands."""
-    return slack * (len(memory_of(config)) + 1)
+    return 6 * (len(memory_of(config)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +498,8 @@ def parse_fixture(text: str) -> Scenario:
         EXPECT LOGICAL 17 7
         EXPECT MEMORY (17,F) (8,F)
 
-    '#' starts a comment; blank lines are ignored.  Element ids are minted
+    INIT, SCHED and each EXPECT clause may appear once.  '#' starts a
+    comment; blank lines are ignored.  Element ids are minted
     deterministically: seeded elements first (deepest first), then pushed
     values in line order."""
     initial: Optional[list[tuple[int, bool]]] = None
@@ -507,6 +508,7 @@ def parse_fixture(text: str) -> Scenario:
     expect_returns = None
     expect_logical = None
     expect_memory = None
+    seen_clauses: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -542,6 +544,9 @@ def parse_fixture(text: str) -> Scenario:
             if len(fields) < 2:
                 raise FixtureFormatError(lineno, "EXPECT needs a clause")
             clause = fields[1]
+            if clause in seen_clauses:
+                raise FixtureFormatError(lineno, f"EXPECT {clause} given twice")
+            seen_clauses.add(clause)
             if clause == "RETURNS":
                 expect_returns = tuple(_parse_expectation(tok, lineno) for tok in fields[2:])
             elif clause == "LOGICAL":

@@ -6,6 +6,7 @@ import csv
 import io
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -160,6 +161,45 @@ def test_drive_shortens_the_switch_interval_only_for_two_or_more_threads():
     (one,), (two,) = seen[1], seen[2]  # each run under one interval throughout
     assert one == callers
     assert two == pytest.approx(harness.SWITCH_INTERVAL)  # stored in whole microseconds
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_stress_step_counts_are_the_trace_calls(monkeypatch, seed):
+    class Spy(RelaxedStack):
+        """Counts every trace call per line, across threads, under its own lock."""
+
+        def __init__(self, checked):
+            super().__init__(checked=checked)
+            self.lock = threading.Lock()
+            self.calls = Counter()
+
+        def spied(self, trace):
+            def step(line):
+                with self.lock:
+                    self.calls[line] += 1
+                trace(line)
+
+            return step
+
+        def push(self, element, trace=None):
+            return super().push(element, self.spied(trace))
+
+        def pop(self, trace=None):
+            return super().pop(self.spied(trace))
+
+    stacks = []
+
+    def make_spy(impl, checked):
+        stacks.append(Spy(checked))
+        return stacks[-1]
+
+    monkeypatch.setattr(harness, "make_stack", make_spy)
+    result = run_stress(RunConfig(threads=4, ops_per_thread=200, seed=seed))
+    calls = stacks[0].calls
+    assert result.step_counts == calls
+    attempts = calls[3] + calls[16]
+    assert result.retries == attempts - result.pushes - result.pops
+    assert result.helps == calls[10] + calls[25]
 
 
 def test_stress_records_a_complete_history():

@@ -6,7 +6,6 @@ import random
 import sys
 import threading
 import time
-from collections import Counter
 
 import pytest
 
@@ -54,7 +53,6 @@ E2 = Element(9, 2)
 def test_recorder_assigns_gapless_sequence():
     recorder = Recorder()
     recorder.invocation(1, 1, OpName.PUSH, E1)
-    recorder.tracer(1, 1)(3)
     recorder.response(1, 1, True)
     recorder.invocation(1, 2, OpName.POP)
     recorder.response(1, 2, E1)
@@ -80,10 +78,8 @@ def test_recorder_rejects_mismatched_response():
         recorder.response(1, 2, EMPTY)
 
 
-def test_recorder_rejects_orphan_step_and_response():
+def test_recorder_rejects_orphan_response():
     recorder = Recorder()
-    with pytest.raises(RecorderError):
-        recorder.tracer(1, 1)(3)
     with pytest.raises(RecorderError):
         recorder.response(1, 1, True)
 
@@ -92,18 +88,6 @@ def test_recorder_rejects_push_without_argument():
     recorder = Recorder()
     with pytest.raises(RecorderError):
         recorder.invocation(1, 1, OpName.PUSH)
-
-
-def test_recorder_step_counting_mode():
-    recorder = Recorder()
-    recorder.invocation(1, 1, OpName.POP)
-    step = recorder.tracer(1, 1)
-    step(16)
-    step(16)
-    recorder.response(1, 1, EMPTY)
-    history = recorder.history()
-    assert [e.kind for e in history.events] == [EventKind.INVOCATION, EventKind.RESPONSE]
-    assert recorder.step_counts() == {16: 2}
 
 
 def test_recorder_under_contention_stays_well_formed():
@@ -116,7 +100,6 @@ def test_recorder_under_contention_stays_well_formed():
         for i in range(ops_per_thread):
             op_id = thread * ops_per_thread + i + 1
             recorder.invocation(process, op_id, OpName.POP)
-            recorder.tracer(process, op_id)(16)
             recorder.response(process, op_id, EMPTY)
 
     workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
@@ -129,41 +112,6 @@ def test_recorder_under_contention_stays_well_formed():
     records = operations(history)  # raises if anything is out of order
     assert len(records) == threads * ops_per_thread
     assert all(r.complete for r in records)
-    assert recorder.step_counts() == {16: threads * ops_per_thread}
-
-
-def test_recorder_counts_every_step_under_preemption():
-    recorder = Recorder()
-    threads, ops_per_thread = 6, 300
-    counted_midway = []
-
-    def worker(thread: int) -> None:
-        process = thread + 1
-        for i in range(ops_per_thread):
-            op_id = thread * ops_per_thread + i + 1
-            recorder.invocation(process, op_id, OpName.PUSH, Element(i, op_id))
-            step = recorder.tracer(process, op_id)
-            for line in (3, 4, 6):
-                step(line)
-            recorder.response(process, op_id, True)
-            if i == ops_per_thread // 2:
-                counted_midway.append(recorder.step_counts())
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(w.is_alive() for w in workers)
-    assert len(counted_midway) == threads
-    total = threads * ops_per_thread
-    assert recorder.step_counts() == {3: total, 4: total, 6: total}
-    assert len(operations(recorder.history())) == total
 
 
 def test_lock_free_recorder_on_real_threads():
@@ -173,22 +121,17 @@ def test_lock_free_recorder_on_real_threads():
     stack = RelaxedStack(checked=True)
     threads, ops_per_thread = 4, 2000
     total = threads * ops_per_thread
-    traced = [Counter() for _ in range(threads)]  # trace calls, each thread its own
     start = threading.Barrier(threads)
 
     def worker(thread: int) -> None:
         process = thread + 1
         rng = random.Random(thread)
-        calls = traced[thread]
         start.wait(timeout=60)
+
+        def trace(line: int) -> None:
+            time.sleep(0)  # hand the GIL over between lines, not only on the timer
+
         for op_id in range(process, total + 1, threads):
-            step = recorder.tracer(process, op_id)
-
-            def trace(line: int) -> None:
-                calls[line] += 1
-                time.sleep(0)  # hand the GIL over between lines, not only on the timer
-                step(line)
-
             if rng.random() < 0.5:
                 element = stack.make_element(op_id)
                 recorder.invocation(process, op_id, OpName.PUSH, element)
@@ -219,7 +162,6 @@ def test_lock_free_recorder_on_real_threads():
     assert sorted(e.op_id for e in events if e.kind is EventKind.INVOCATION) == list(
         range(1, total + 1)
     )
-    assert recorder.step_counts() == dict(sum(traced, Counter()))
     assert not stack.invariant_violations
     # The threads did interleave, so the order above came from the appends.
     assert sum(a.process != b.process for a, b in zip(events, events[1:])) > 100

@@ -12,7 +12,6 @@ import pytest
 
 from multistack.baseline_stack import TreiberStack
 from multistack.elements import EMPTY, Element
-from multistack.history import OpName, Recorder
 from multistack.relaxed_stack import AtomicReference, RelaxedStack
 
 
@@ -169,16 +168,6 @@ def test_pop_helps_past_a_deleted_top():
     lines = trace_lines(stack.pop)
     assert lines == [16, 17, 20, 25, 16, 17, 20, 21, 22]
     assert stack.logical_state() == ()
-
-
-def test_tracer_wires_steps_into_the_recorder():
-    stack = RelaxedStack()
-    recorder = Recorder()
-    element = stack.make_element(3)
-    recorder.invocation(1, 1, OpName.PUSH, element)
-    stack.push(element, recorder.tracer(1, 1))
-    recorder.response(1, 1, True)
-    assert recorder.step_counts() == {3: 1, 4: 1, 6: 1}
 
 
 def test_guarded_nodes_report_flag_regression():
