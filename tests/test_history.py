@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -88,6 +89,19 @@ def test_recorder_rejects_push_without_argument():
     recorder = Recorder()
     with pytest.raises(RecorderError):
         recorder.invocation(1, 1, OpName.PUSH)
+
+
+def test_recorder_step_counting_mode():
+    # Steps never reach the recorder: the caller's trace counts them per line.
+    recorder = Recorder()
+    counts = Counter()
+    recorder.invocation(1, 1, OpName.POP)
+    returned = RelaxedStack(checked=True).pop(lambda line: counts.update((line,)))
+    recorder.response(1, 1, returned)
+    history = recorder.history()
+    assert returned is EMPTY
+    assert [e.kind for e in history.events] == [EventKind.INVOCATION, EventKind.RESPONSE]
+    assert counts == {16: 1, 17: 1}
 
 
 def test_recorder_under_contention_stays_well_formed():
