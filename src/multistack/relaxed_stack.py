@@ -60,15 +60,25 @@ PRIVATE_LINES = frozenset({17})
 class AtomicReference:
     """One shared cell with atomic load and compare-and-set.
 
-    Hardware exposes compare-and-set as a single instruction; here a
-    private mutex makes the compare and the swing indivisible.  Loads are
-    plain reads, which the interpreter already performs atomically.
+    Hardware exposes compare-and-set as a single instruction.  Here it takes
+    no lock and relies on CPython 3.11's GIL, as PushIdSource does: that
+    eval loop switches threads only at RESUME, at backward jumps and at
+    calls, and compare_and_set has one RESUME, before its read, and no jump
+    back or call after it.  The slot reads and writes are C descriptors; the
+    store cannot free the old value, which the caller still holds as
+    expected; and nothing is allocated, so no garbage collection runs in
+    between.  tests/test_relaxed_stack.py pins that bytecode.  The argument
+    fails on a free-threaded build, and while a Python-level sys.settrace or
+    sys.setprofile function runs between bytecodes.
+
+    A mutex here was a convoy on the live stack: a thread switched out while
+    holding it stalled every other push and pop.  Loads are plain reads,
+    which the interpreter performs atomically.
     """
 
-    __slots__ = ("_lock", "_value")
+    __slots__ = ("_value",)
 
     def __init__(self, value: Any = None) -> None:
-        self._lock = threading.Lock()
         self._value = value
 
     def get(self) -> Any:
@@ -77,11 +87,10 @@ class AtomicReference:
     def compare_and_set(self, expected: Any, new: Any) -> bool:
         # Identity compare: every push makes a fresh node and nodes are never
         # recycled, so reference equality is exact and ABA cannot occur.
-        with self._lock:
-            if self._value is expected:
-                self._value = new
-                return True
-            return False
+        if self._value is expected:
+            self._value = new
+            return True
+        return False
 
 
 class _Node:

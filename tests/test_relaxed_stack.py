@@ -3,15 +3,20 @@ helping behavior, and real-thread stress with conservation checks."""
 
 from __future__ import annotations
 
+import dis
 import random
 import sys
 import threading
 import time
+import types
 
 import pytest
 
+from multistack import harness
 from multistack.baseline_stack import TreiberStack
 from multistack.elements import EMPTY, Element
+from multistack.harness import RunConfig, StressResult, conservation_errors, run_stress
+from multistack.history import History, OpName
 from multistack.relaxed_stack import AtomicReference, RelaxedStack
 
 
@@ -24,6 +29,34 @@ def test_atomic_reference_compare_and_set():
     assert not cell.compare_and_set(None, token_b)
     assert cell.compare_and_set(token_a, token_b)
     assert cell.get() is token_b
+
+
+# CPython 3.11's eval loop switches threads only at RESUME, at backward jumps
+# and at calls.  None of these opcodes is one of those.
+NON_SWITCHING_OPCODES = frozenset(
+    {
+        "LOAD_FAST",
+        "LOAD_ATTR",
+        "LOAD_CONST",
+        "IS_OP",
+        "POP_JUMP_FORWARD_IF_FALSE",
+        "POP_JUMP_FORWARD_IF_TRUE",
+        "STORE_ATTR",
+        "RETURN_VALUE",
+    }
+)
+
+
+def test_compare_and_set_has_no_thread_switch_point():
+    # AtomicReference takes no lock: its compare and its store are atomic
+    # only because no thread switch can fall between them.
+    instructions = list(dis.get_instructions(AtomicReference.compare_and_set))
+    assert [i.offset for i in instructions if i.opname == "RESUME"] == [0]
+    assert {i.opname for i in instructions[1:]} <= NON_SWITCHING_OPCODES
+    # A property would hide a call behind LOAD_ATTR/STORE_ATTR: every
+    # attribute touched must be a plain slot.
+    for name in {i.argval for i in instructions if i.opname.endswith("_ATTR")}:
+        assert isinstance(getattr(AtomicReference, name), types.MemberDescriptorType)
 
 
 def test_atomic_reference_compares_identity_not_equality():
@@ -194,38 +227,64 @@ def test_guarded_nodes_allow_the_one_way_write():
 # ---------------------------------------------------------------------------
 
 
-def run_threads(stack, thread_count, ops, seed):
-    outcomes = [[] for _ in range(thread_count)]
-
-    def worker(thread):
-        rng = random.Random(seed * 1009 + thread)
-        for _ in range(ops):
-            if rng.random() < 0.5:
-                element = stack.make_element(rng.randint(1, 9))
-                stack.push(element)
-                outcomes[thread].append(("push", element))
-            else:
-                outcomes[thread].append(("pop", stack.pop()))
-
-    workers = [
-        threading.Thread(target=worker, args=(i,)) for i in range(thread_count)
-    ]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    return outcomes
+def test_threaded_conservation_and_invariants(monkeypatch):
+    # Switching threads as often as the interpreter allows, a compare-and-set
+    # that a switch can split loses pushes in every run.
+    monkeypatch.setattr(harness, "SWITCH_INTERVAL", 1e-6)
+    result = run_stress(RunConfig("relaxed", threads=4, ops_per_thread=5000, seed=5))
+    assert conservation_errors(result) == []  # the checked stack's invariants too
 
 
-def test_threaded_conservation_and_invariants():
+def test_a_pop_parked_after_its_flag_write_is_helped_past():
+    # A live crash: thread A pops and parks in its trace right after the
+    # line-21 flag write, before its swing.  Thread B must not wait on it.
     stack = RelaxedStack(checked=True)
-    outcomes = run_threads(stack, thread_count=4, ops=300, seed=5)
-    pushed = {e.push_id for ops in outcomes for kind, e in ops if kind == "push"}
-    popped = [
-        e for ops in outcomes for kind, e in ops if kind == "pop" and e is not EMPTY
-    ]
-    remaining = {e.push_id for e in stack.logical_state()}
-    assert {e.push_id for e in popped} | remaining == pushed
-    assert not {e.push_id for e in popped} & remaining
-    assert stack.invariant_violations == []
-    stack.memory_snapshot()  # raises if the chain ever became cyclic
+    prefill = [stack.make_element(value) for value in range(1, 7)]
+    for element in prefill:
+        stack.push(element)
+    flagged = prefill[-1]
+    parked, release = threading.Event(), threading.Event()
+    parked_result = []
+
+    def park_at_flag_write(line: int) -> None:
+        if line == 21:
+            parked.set()
+            release.wait(timeout=60)
+
+    crashed = threading.Thread(
+        target=lambda: parked_result.append(stack.pop(park_at_flag_write)),
+        daemon=True,
+    )
+    crashed.start()
+    try:
+        assert parked.wait(timeout=60)
+        helper_lines = set()
+        helper_outcomes = []
+
+        def helper() -> None:
+            record = helper_outcomes.append
+            for kind in ("push", "pop", "pop", "push", "pop", "pop", "pop") * 3:
+                if kind == "push":
+                    element = stack.make_element(9)
+                    stack.push(element, helper_lines.add)
+                    record((OpName.PUSH, element))
+                else:
+                    record((OpName.POP, stack.pop(helper_lines.add)))
+
+        other = threading.Thread(target=helper, daemon=True)
+        other.start()
+        other.join(timeout=60)
+        assert not other.is_alive() and len(helper_outcomes) == 21
+        assert helper_lines & {10, 25}  # B swung top past the flagged node
+        assert flagged not in stack.logical_state()
+        assert flagged not in [e for e, _ in stack.memory_snapshot()]  # unlinked
+        assert (OpName.POP, flagged) not in helper_outcomes
+        assert parked_result == []  # A was parked all along
+    finally:
+        release.set()
+        crashed.join(timeout=60)
+    assert not crashed.is_alive()
+    assert parked_result == [flagged]
+    outcomes = [[(OpName.PUSH, e) for e in prefill], helper_outcomes, [(OpName.POP, flagged)]]
+    result = StressResult(RunConfig(), History(()), {}, outcomes, stack)
+    assert conservation_errors(result) == []
