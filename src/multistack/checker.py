@@ -95,8 +95,6 @@ def _check_result_shapes(records: Sequence[OperationRecord]) -> None:
                     f"push op {record.op_id} returned "
                     f"{format_payload(record.result)} instead of true"
                 )
-            if record.argument is None:
-                raise StructuralRefutation(f"push op {record.op_id} has no argument")
         else:
             if not isinstance(record.result, (Element, _Empty)):
                 raise StructuralRefutation(

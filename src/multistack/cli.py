@@ -36,7 +36,7 @@ from .history import (
     History,
     HistoryFormatError,
     OpName,
-    format_event,
+    dumps,
     read_history,
     write_history,
 )
@@ -128,8 +128,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except ScheduleError as exc:
         print(f"MALFORMED: {exc}")
         return 3
-    for event in result.history.events:
-        print(format_event(event))
+    print(dumps(result.history), end="")
     memory = " ".join(f"({e.value},{'T' if elim else 'F'})" for e, elim in result.memory)
     logical = " ".join(str(e.value) for e in result.logical)
     returns = " ".join(

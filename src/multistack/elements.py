@@ -56,8 +56,8 @@ class PushIdSource:
 
     __slots__ = ("_counter",)
 
-    def __init__(self, start: int = 1) -> None:
-        self._counter = itertools.count(start)
+    def __init__(self) -> None:
+        self._counter = itertools.count(1)
 
     def element(self, value: int) -> Element:
         return _new(Element, (value, next(self._counter)))

@@ -5,7 +5,7 @@ format is
 
     SEQ PROC OPID KIND NAME PAYLOAD
 
-where SEQ is a gapless 0-based global sequence number, PROC a process
+where SEQ is the line's 0-based position in the file, PROC a process
 index, OPID the operation the event belongs to, KIND one of INV/RES/STEP
 and NAME one of PUSH/POP.  PAYLOAD is one of
 
@@ -16,7 +16,10 @@ and NAME one of PUSH/POP.  PAYLOAD is one of
     -                    no payload (pop invocation)
 
 The `-` payload appears on POP invocations and nowhere else.  Files are
-UTF-8, newline-terminated, sorted by SEQ.  This format is the contract
+UTF-8, newline-terminated, sorted by SEQ.  In memory an event carries no
+SEQ: a history is a tuple of events, and an event's position in it is when
+it happened.  dumps writes each position as SEQ, and loads checks that the
+SEQ column counts 0, 1, 2, ... before dropping it.  This format is the contract
 between the CLI subcommands: whatever records a run writes it, and the
 checker reads it back.  Live runs (the Recorder) write INV/RES events
 only; the deterministic simulator also writes its STEP events, which are
@@ -26,7 +29,7 @@ The Recorder takes no lock.  Each process records from one thread, and
 every invocation and response is one list.append, which is atomic under
 the GIL (Python FAQ, "What kinds of global value mutation are
 thread-safe?"), so the order of the appends is one global order of the
-events.  history() numbers them by position: that is where SEQ comes from.
+events, and history() keeps that order.
 
 Events and operation records are named tuples: immutable, compared and
 hashed by their fields, and cheap to build.  A History pairs its events
@@ -80,12 +83,14 @@ _PUSH, _POP = OpName
 class Event(NamedTuple):
     """One atomic observation: an invocation, a response, or a numbered step.
 
+    An event does not know when it happened: that is its position in its
+    history.
+
     The payload depends on the kind: the pushed element for a PUSH
     invocation (None for POP), the returned value for a response (True,
     an Element, or EMPTY), and the algorithm line number for a step.
     """
 
-    seq: int
     process: int
     op_id: int
     kind: EventKind
@@ -122,13 +127,12 @@ class Recorder:
     """Lock-free event sink whose append order is the global order.
 
     Each process records from one thread.  Invocations and responses append
-    (process, op_id, kind, name, payload) to one shared list, and
-    list.append is atomic under the GIL (Python FAQ, "What kinds of global
-    value mutation are thread-safe?"), so the order of the appends is one
-    global order of the events.  A harness appends an invocation before
-    the operation's first shared action and its response after the last,
-    so that order respects real time.  history() numbers the events by
-    position, which makes the sequence numbers gapless and unique.
+    an Event to one shared list, and list.append is atomic under the GIL
+    (Python FAQ, "What kinds of global value mutation are thread-safe?"),
+    so the order of the appends is one global order of the events.  A
+    harness appends an invocation before the operation's first shared
+    action and its response after the last, so that order respects real
+    time.  history() is a snapshot of the list in that order.
     Per-process well-formedness (invoke, then respond) is enforced here, on
     state that only the process's own thread writes, so a harness bug
     cannot masquerade as an interesting history.
@@ -139,7 +143,7 @@ class Recorder:
     """
 
     def __init__(self) -> None:
-        self._log: list[tuple[int, int, EventKind, OpName, Payload]] = []
+        self._log: list[Event] = []
         self._pending: dict[int, tuple[int, OpName]] = {}  # process -> (op id, name)
 
     def invocation(
@@ -156,7 +160,7 @@ class Recorder:
                 f"{pending[0]} is still pending"
             )
         self._pending[process] = (op_id, name)
-        self._log.append((process, op_id, _INVOCATION, name, argument))
+        self._log.append(_new(Event, (process, op_id, _INVOCATION, name, argument)))
 
     def response(self, process: int, op_id: int, value: Payload) -> None:
         pending = self._pending.get(process)
@@ -168,11 +172,10 @@ class Recorder:
                 f"{pending[0]} is pending"
             )
         del self._pending[process]
-        self._log.append((process, op_id, _RESPONSE, pending[1], value))
+        self._log.append(_new(Event, (process, op_id, _RESPONSE, pending[1], value)))
 
     def history(self) -> "History":
-        log = self._log[:]  # one C-level copy: safe beside live appends
-        return History(tuple([_new(Event, (seq, *entry)) for seq, entry in enumerate(log)]))
+        return History(tuple(self._log))  # one C-level copy: safe beside live appends
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +185,13 @@ class Recorder:
 
 @dataclass(frozen=True)
 class History:
-    """A validated, seq-ordered event sequence.
+    """An event sequence in the order the events happened.
 
     Its operation records are paired on first use and kept with it; they
     take no part in equality or hashing.
     """
 
     events: tuple[Event, ...]
-
-    def __post_init__(self) -> None:
-        for position, event in enumerate(self.events):
-            if event.seq != position:
-                raise ValueError(
-                    f"event at position {position} has seq {event.seq}; "
-                    "the sequence must be gapless and 0-based"
-                )
 
     def __len__(self) -> int:
         return len(self.events)
@@ -234,7 +229,7 @@ def _pair(events: tuple[Event, ...]) -> tuple[OperationRecord, ...]:
     invoked: set[int] = set()
     # process -> (slot, op id, name, argument, invoked at) of its pending op
     pending: dict[int, tuple[int, int, OpName, Payload, int]] = {}
-    for seq, process, op_id, kind, name, payload in events:
+    for seq, (process, op_id, kind, name, payload) in enumerate(events):
         if kind is _INVOCATION:
             if op_id in invoked:
                 raise IllFormedHistory(seq, f"op {op_id} invoked twice")
@@ -329,9 +324,9 @@ def format_payload(payload: Payload) -> str:
     raise ValueError(f"unencodable payload {payload!r}")
 
 
-def format_event(event: Event) -> str:
+def format_event(seq: int, event: Event) -> str:
     return (
-        f"{event.seq} {event.process} {event.op_id} "
+        f"{seq} {event.process} {event.op_id} "
         f"{_TOKEN_BY_KIND[event.kind]} {_TOKEN_BY_NAME[event.name]} "
         f"{format_payload(event.payload)}"
     )
@@ -346,15 +341,12 @@ _HEADS = {
 
 
 def dumps(history: History) -> str:
-    """The history's text: format_event of every event, one per line."""
+    """The history's text: format_event of every event and its position, one
+    per line.  An unknown kind or name raises KeyError."""
     tokens: dict[int, str] = {}  # id(payload) -> text; the history keeps payloads alive
     lines = []
-    for event in history.events:
-        seq, process, op_id, kind, name, payload = event
-        head = _HEADS.get((kind, name))
-        if head is None:  # an unknown kind or name: format_event raises as it always did
-            lines.append(format_event(event) + "\n")
-            continue
+    for seq, (process, op_id, kind, name, payload) in enumerate(history.events):
+        head = _HEADS[kind, name]
         token = tokens.get(id(payload))
         if token is None:
             token = tokens[id(payload)] = format_payload(payload)
@@ -386,11 +378,12 @@ def _parse_payload(token: str, lineno: int) -> Payload:
     raise HistoryFormatError(lineno, f"unrecognized payload {token!r}")
 
 
-def parse_event(line: str, lineno: int) -> Event:
+def parse_event(line: str, lineno: int) -> tuple[int, Event]:
+    """The line's SEQ and its event."""
     return _parse_event(line, lineno, {})
 
 
-def _parse_event(line: str, lineno: int, payloads: dict[str, Payload]) -> Event:
+def _parse_event(line: str, lineno: int, payloads: dict[str, Payload]) -> tuple[int, Event]:
     """parse_event, looking payload tokens up in (and adding them to) payloads."""
     fields = line.split()
     if len(fields) != 6:
@@ -420,7 +413,7 @@ def _parse_event(line: str, lineno: int, payloads: dict[str, Payload]) -> Event:
         raise HistoryFormatError(lineno, "a POP invocation takes the '-' payload")
     if payload is None and not pop_invocation:
         raise HistoryFormatError(lineno, "the '-' payload belongs to POP invocations only")
-    return Event(seq, process, op_id, kind, name, payload)
+    return seq, Event(process, op_id, kind, name, payload)
 
 
 _UNSEEN = object()  # a payload token that does not parse; no head has its type
@@ -446,22 +439,20 @@ def loads(text: str) -> History:
             head = heads.get((kind_text, name_text, type(payload)))
             if head is not None:
                 try:
-                    numbers = (int(seq_text), int(proc_text), int(opid_text))
+                    seq, process, op_id = int(seq_text), int(proc_text), int(opid_text)
                 except ValueError:
                     head = None  # parse_event words the error
                 else:
-                    event = _new(Event, (*numbers, *head, payload))
+                    event = _new(Event, (process, op_id, *head, payload))
             if head is None:
-                event = _parse_event(line, lineno, payloads)
+                seq, event = _parse_event(line, lineno, payloads)
                 heads[kind_text, name_text, type(event.payload)] = (event.kind, event.name)
         elif fields:
-            event = _parse_event(line, lineno, payloads)  # raises: the field count
+            _parse_event(line, lineno, payloads)  # raises: the field count
         else:
             continue
-        if event.seq != len(events):
-            raise HistoryFormatError(
-                lineno, f"seq {event.seq} out of order; expected {len(events)}"
-            )
+        if seq != len(events):
+            raise HistoryFormatError(lineno, f"seq {seq} out of order; expected {len(events)}")
         events.append(event)
         linenos.append(lineno)
     history = History(tuple(events))

@@ -158,8 +158,8 @@ class Run:
         ]
 
     def take(self, thread: int, events: Optional[list[Event]] = None) -> None:
-        """Run one slot of the 0-based thread, appending its events to events
-        (seq-stamped by position), then check the memory's invariants."""
+        """Run one slot of the 0-based thread, appending its events to events,
+        then check the memory's invariants."""
         self._slot(thread, events)
         violations = self.stack.invariant_violations
         if violations:
@@ -175,9 +175,7 @@ class Run:
         process = thread + 1
         if state.steps is None:
             if events is not None:
-                events.append(
-                    Event(len(events), process, op.op_id, EventKind.INVOCATION, op.name, op.element)
-                )
+                events.append(Event(process, op.op_id, EventKind.INVOCATION, op.name, op.element))
             if op.name is OpName.PUSH:
                 # One node per push, made up front; retries relink it.
                 state.steps = push_steps(self._top, self._new_node(op.element))
@@ -188,15 +186,13 @@ class Run:
         try:
             while True:
                 if events is not None:
-                    events.append(Event(len(events), process, op.op_id, EventKind.STEP, op.name, line))
+                    events.append(Event(process, op.op_id, EventKind.STEP, op.name, line))
                 line = next(state.steps)
                 if line not in PRIVATE_LINES:
                     break
         except StopIteration as done:
             if events is not None:
-                events.append(
-                    Event(len(events), process, op.op_id, EventKind.RESPONSE, op.name, done.value)
-                )
+                events.append(Event(process, op.op_id, EventKind.RESPONSE, op.name, done.value))
             state.returns.append(done.value)
             state.op_index += 1
             state.steps = state.line = None
@@ -260,8 +256,8 @@ def prologue_events(scenario: Scenario) -> list[Event]:
     def op(name: OpName, inv_payload: Payload, res_payload: Payload) -> None:
         nonlocal op_id
         op_id += 1
-        events.append(Event(len(events), 0, op_id, EventKind.INVOCATION, name, inv_payload))
-        events.append(Event(len(events), 0, op_id, EventKind.RESPONSE, name, res_payload))
+        events.append(Event(0, op_id, EventKind.INVOCATION, name, inv_payload))
+        events.append(Event(0, op_id, EventKind.RESPONSE, name, res_payload))
 
     for element, elim in scenario.initial_memory:
         op(OpName.PUSH, element, True)

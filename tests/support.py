@@ -7,8 +7,8 @@ Histories are built from scripts, lists of tuples:
     ("res", process, op_id, value)
     ("step", process, op_id, line)
 
-Sequence numbers are positions in the script, so overlap structure is
-spelled out directly by interleaving inv/res entries.
+An event's place in the history is its place in the script, so overlap
+structure is spelled out directly by interleaving inv/res entries.
 """
 
 from __future__ import annotations
@@ -17,8 +17,13 @@ import random
 from typing import Optional
 
 from multistack.elements import EMPTY, Element
-from multistack.history import Event, EventKind, History, OpName
+from multistack.history import Event, EventKind, History, OpName, dumps
 from multistack.simulator import PlannedOp, Run, Scenario
+
+
+def seq_column(events) -> list[int]:
+    """The SEQ column of the events' text."""
+    return [int(line.split(" ", 1)[0]) for line in dumps(History(tuple(events))).splitlines()]
 
 
 def build_history(script) -> History:
@@ -41,7 +46,7 @@ def build_history(script) -> History:
             kind = EventKind.STEP
         else:
             raise ValueError(f"unknown script tag {tag!r}")
-        events.append(Event(len(events), process, op_id, kind, name, payload))
+        events.append(Event(process, op_id, kind, name, payload))
     return History(tuple(events))
 
 
@@ -183,9 +188,7 @@ def perturbed_history(rng: random.Random, history: History) -> History:
         new_payload = EMPTY
     else:
         new_payload = Element(rng.randint(1, 5), 999)
-    events[index] = Event(
-        event.seq, event.process, event.op_id, event.kind, event.name, new_payload
-    )
+    events[index] = event._replace(payload=new_payload)
     return History(tuple(events))
 
 

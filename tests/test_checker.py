@@ -3,7 +3,9 @@ with the brute-force enumeration oracle."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +22,10 @@ from multistack.checker import (
 from multistack.harness import RunConfig, run_stress
 from multistack.elements import EMPTY, Element
 from multistack.history import (
-    Event,
     History,
     complete_operations,
     operations,
+    read_history,
 )
 from multistack.spec_machine import ClassKind, apply_class, replay
 from naive_oracle import (
@@ -366,14 +368,8 @@ def test_both_modes_reject_a_reused_push_id():
 # ---------------------------------------------------------------------------
 
 
-def resequenced_without(history: History, op_ids: set[int]) -> History:
-    kept = [e for e in history.events if e.op_id not in op_ids]
-    return History(
-        tuple(
-            Event(i, e.process, e.op_id, e.kind, e.name, e.payload)
-            for i, e in enumerate(kept)
-        )
-    )
+def without_ops(history: History, op_ids: set[int]) -> History:
+    return History(tuple(e for e in history.events if e.op_id not in op_ids))
 
 
 def test_witnesses_replay_and_respect_precedence():
@@ -414,7 +410,7 @@ def test_acceptance_is_monotone_under_removing_the_last_class():
         if not verdict.accepted or not verdict.witness:
             continue
         exercised += 1
-        shrunk = resequenced_without(history, set(verdict.witness[-1].op_ids))
+        shrunk = without_ops(history, set(verdict.witness[-1].op_ids))
         assert check_set_linearizable(shrunk).accepted
     assert exercised > 30
 
@@ -456,3 +452,22 @@ def test_witness_format(tmp_path):
     path = tmp_path / "w.txt"
     write_witness(verdict.witness, path)
     assert path.read_text(encoding="utf-8") == text
+
+
+# ---------------------------------------------------------------------------
+# Tools
+# ---------------------------------------------------------------------------
+
+
+def test_bench_checker_writes_a_decidable_long_open_pop_history(tmp_path):
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_checker.py"
+    spec = importlib.util.spec_from_file_location("bench_checker", path)
+    bench_checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_checker)
+    history_path = tmp_path / "long-open-pop.history"
+    bench_checker.write_long_open_pop(history_path, 64)
+    history = read_history(history_path)
+    verdict = check_set_linearizable(history, max_ops=64)
+    assert verdict.accepted
+    assert [len(c.op_ids) for c in verdict.witness if len(c.op_ids) > 1] == [2]
+    assert check_linearizable(history, max_ops=64).outcome is CheckOutcome.REJECTED

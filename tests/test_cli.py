@@ -12,7 +12,7 @@ import pytest
 
 import multistack.harness as harness
 from multistack.baseline_stack import TreiberStack
-from multistack.cli import all_program_mixes, history_shares_return, main
+from multistack.cli import BUNDLED_FIXTURES, all_program_mixes, history_shares_return, main
 from multistack.elements import EMPTY, Element
 from multistack.harness import (
     RunConfig,
@@ -27,11 +27,13 @@ from multistack.history import (
     EventKind,
     History,
     OpName,
+    dumps,
     operations,
     read_history,
     write_history,
 )
 from multistack.relaxed_stack import RelaxedStack
+from multistack.simulator import load_bundled_fixture, replay_scenario
 from support import build_history, sequential_history
 
 
@@ -353,6 +355,23 @@ def test_check_lin_mode_rejects_the_same_history(tmp_path, capsys):
     assert "REJECTED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "invocation, response, refutation",
+    [
+        ("PUSH v:1#1", "PUSH v:1#1", "push op 1 returned v:1#1 instead of true"),
+        ("PUSH v:1#1", "PUSH empty", "push op 1 returned empty instead of true"),
+        ("POP -", "POP true", "pop op 1 returned neither an element nor empty"),
+    ],
+)
+def test_check_rejects_a_result_of_the_wrong_shape(
+    tmp_path, capsys, invocation, response, refutation
+):
+    path = tmp_path / "shape.history"
+    path.write_text(f"0 1 1 INV {invocation}\n1 1 1 RES {response}\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == f"REJECTED: {refutation}\n"
+
+
 def test_check_undecided_over_the_cap(tmp_path, capsys):
     path = tmp_path / "big.history"
     write_history(
@@ -436,6 +455,23 @@ def test_replay_bundled_fixture(tmp_path, capsys):
     # The emitted file round-trips and carries its own provenance.
     history = read_history(out)
     assert main(["check", str(out)]) == 0
+
+
+@pytest.mark.parametrize("name", BUNDLED_FIXTURES)
+def test_replay_stdout_is_the_history_text_then_the_final_state(name, capsys):
+    result = replay_scenario(load_bundled_fixture(name))
+    memory = "".join(f" ({e.value},{'T' if elim else 'F'})" for e, elim in result.memory)
+    logical = "".join(f" {e.value}" for e in result.logical)
+    returns = "".join(
+        " true" if value is True else " empty" if value is EMPTY else f" {value.value}"
+        for per_thread in result.returns
+        for value in per_thread
+    )
+    assert main(["replay", name]) == 0
+    assert capsys.readouterr().out == (
+        f"{dumps(result.history)}FINAL MEMORY{memory}\n"
+        f"FINAL LOGICAL{logical}\nRETURNS{returns}\n"
+    )
 
 
 def test_replay_reports_an_unwritable_output(tmp_path, capsys):

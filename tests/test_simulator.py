@@ -31,6 +31,7 @@ from multistack.simulator import (
     thread_enabled,
 )
 from multistack.spec_machine import ClassKind
+from support import seq_column
 
 
 def pop_only_scenario(threads: int, pops_each: int, memory=()) -> Scenario:
@@ -110,7 +111,7 @@ def test_pop_on_empty_is_one_slot():
         (EventKind.STEP, 17),
         (EventKind.RESPONSE, EMPTY),
     ]
-    assert [e.seq for e in events] == list(range(8))  # stamped by position
+    assert seq_column(events) == list(range(8))
     assert [e.process for e in events] == [1] * 4 + [2] * 4
     assert run.config().threads == ((None, 1, ()), (None, 1, ()))
     assert not run.enabled()
@@ -241,7 +242,7 @@ def test_prologue_builds_the_seeded_memory_sequentially():
     )
     events = prologue_events(scenario)
     assert all(e.process == 0 for e in events)
-    assert [e.seq for e in events] == list(range(len(events)))
+    assert seq_column(events) == list(range(len(events)))
     ops = [
         (e.op_id, e.name, e.payload)
         for e in events

@@ -61,7 +61,7 @@ def write_long_open_pop(path: Path, ops: int) -> None:
     events: list[Event] = []
 
     def emit(process, op_id, kind, name, payload) -> None:
-        events.append(Event(len(events), process, op_id, kind, name, payload))
+        events.append(Event(process, op_id, kind, name, payload))
 
     inv, res, push, pop = EventKind.INVOCATION, EventKind.RESPONSE, OpName.PUSH, OpName.POP
     emit(1, 1, inv, push, Element(0, 1))
