@@ -14,12 +14,8 @@ from .elements import EMPTY, Element, PushIdSource, _Empty
 from .relaxed_stack import AtomicReference, Trace
 
 
-class _Node:
+class _Node:  # no __init__ frame, as in the relaxed stack
     __slots__ = ("element", "next")
-
-    def __init__(self, element: Element) -> None:
-        self.element = element
-        self.next: Optional[_Node] = None
 
 
 class TreiberStack:
@@ -34,24 +30,27 @@ class TreiberStack:
     # the baseline has no numbered lines and emits no step events.
 
     def push(self, element: Element, trace: Optional[Trace] = None) -> bool:
-        node = _Node(element)
+        node = _Node()
+        node.element = element
+        top = self._top
         while True:
-            t = self._top.get()
+            t = top.value
             node.next = t
-            if self._top.compare_and_set(t, node):
+            if top.compare_and_set(t, node):
                 return True
 
     def pop(self, trace: Optional[Trace] = None) -> Union[Element, _Empty]:
+        top = self._top
         while True:
-            t = self._top.get()
+            t = top.value
             if t is None:
                 return EMPTY
-            if self._top.compare_and_set(t, t.next):
+            if top.compare_and_set(t, t.next):
                 return t.element
 
     def logical_state(self) -> tuple[Element, ...]:
         nodes = []
-        node = self._top.get()
+        node = self._top.value
         while node is not None:
             nodes.append(node.element)
             node = node.next

@@ -26,11 +26,13 @@ The numbered lines referenced by step traces:
 
 Shared-memory actions carry the labels 3/16 (top loads), 4/20 (flag
 reads), 21 (the flag write) and 6/10/22/25 (top compare-and-sets); line 17
-is a private test of the register loaded at 16 (PRIVATE_LINES).
+is a private test of the register loaded at 16 (PRIVATE_LINES).  top.get()
+is notation: the code reads the cell's value slot, with no call.
 
 The algorithm is written twice here, since the live path measured slower
 draining generators, and tests/test_differential.py pins the two texts to
-each other.  RelaxedStack.push/pop are the fast path the threads run: an
+each other.  RelaxedStack.push/pop are the fast path the threads run;
+unchecked, their one Python-level callee is compare_and_set.  An
 instrumented run calls its trace just after each labelled line's action,
 and since another thread can act in between, trace calls need not come
 in the order the actions took effect.  push_steps/pop_steps are the same
@@ -46,10 +48,11 @@ through private lines, so a fresh operation takes the slots
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Callable, Generator, Optional, Union
 
-from .elements import EMPTY, Element, PushIdSource, _Empty
+from .elements import EMPTY, Element, _Empty, _new
 
 Trace = Callable[[int], None]
 
@@ -58,10 +61,10 @@ PRIVATE_LINES = frozenset({17})
 
 
 class AtomicReference:
-    """One shared cell with atomic load and compare-and-set.
+    """One shared cell: a plain value slot with compare-and-set.
 
     Hardware exposes compare-and-set as a single instruction.  Here it takes
-    no lock and relies on CPython 3.11's GIL, as PushIdSource does: that
+    no lock and relies on CPython 3.11's GIL, as make_element does: that
     eval loop switches threads only at RESUME, at backward jumps and at
     calls, and compare_and_set has one RESUME, before its read, and no jump
     back or call after it.  The slot reads and writes are C descriptors; the
@@ -72,34 +75,27 @@ class AtomicReference:
     sys.setprofile function runs between bytecodes.
 
     A mutex here was a convoy on the live stack: a thread switched out while
-    holding it stalled every other push and pop.  Loads are plain reads,
-    which the interpreter performs atomically.
+    holding it stalled every other push and pop.  Loads are plain reads of
+    value, which the interpreter performs atomically: no call.  Every store
+    after construction goes through compare_and_set.
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ("value",)
 
     def __init__(self, value: Any = None) -> None:
-        self._value = value
-
-    def get(self) -> Any:
-        return self._value
+        self.value = value
 
     def compare_and_set(self, expected: Any, new: Any) -> bool:
         # Identity compare: every push makes a fresh node and nodes are never
         # recycled, so reference equality is exact and ABA cannot occur.
-        if self._value is expected:
-            self._value = new
+        if self.value is expected:
+            self.value = new
             return True
         return False
 
 
-class _Node:
+class _Node:  # no __init__ frame: push sets every slot before publishing
     __slots__ = ("element", "next", "elim")
-
-    def __init__(self, element: Element) -> None:
-        self.element = element
-        self.next: Optional[_Node] = None
-        self.elim = False
 
 
 class _GuardedNode:
@@ -137,19 +133,25 @@ class RelaxedStack:
 
     def __init__(self, checked: bool = False) -> None:
         self._top = AtomicReference(None)
-        self._ids = PushIdSource()
+        self._ids = itertools.count(1)
         self._checked = checked
         self._violations: list[str] = []
         self._violations_lock = threading.Lock()
 
     def make_element(self, value: int) -> Element:
-        """Wrap a value with a fresh push id (thread-safe)."""
-        return self._ids.element(value)
+        """Wrap a value with a fresh push id; lock-free, as PushIdSource."""
+        return _new(Element, (value, next(self._ids)))
 
     def push(self, element: Element, trace: Optional[Trace] = None) -> bool:
-        node = self._new_node(element)
+        if self._checked:
+            node = _GuardedNode(element, self._record_violation)
+        else:
+            node = _Node()
+            node.element = element
+            node.elim = False
+        top = self._top
         while True:
-            t = self._top.get()
+            t = top.value
             if trace is not None:
                 trace(3)
             # The empty marker has no flag to read; an empty top never counts
@@ -159,19 +161,20 @@ class RelaxedStack:
                 trace(4)
             if not deleted:
                 node.next = t
-                swung = self._top.compare_and_set(t, node)
+                swung = top.compare_and_set(t, node)
                 if trace is not None:
                     trace(6)
                 if swung:
                     return True
             else:
-                self._top.compare_and_set(t, t.next)
+                top.compare_and_set(t, t.next)
                 if trace is not None:
                     trace(10)
 
     def pop(self, trace: Optional[Trace] = None) -> Union[Element, _Empty]:
+        top = self._top
         while True:
-            t = self._top.get()
+            t = top.value
             if trace is not None:
                 trace(16)
             empty_seen = t is None
@@ -191,12 +194,12 @@ class RelaxedStack:
                     trace(21)
                 # One swing attempt, outcome ignored: if it fails, someone
                 # else has already moved top, or will help past this node.
-                self._top.compare_and_set(t, t.next)
+                top.compare_and_set(t, t.next)
                 if trace is not None:
                     trace(22)
                 return t.element
             else:
-                self._top.compare_and_set(t, t.next)
+                top.compare_and_set(t, t.next)
                 if trace is not None:
                     trace(25)
 
@@ -234,7 +237,7 @@ class RelaxedStack:
         links never change, so the walk sees a consistent chain even mid-run."""
         nodes = []
         seen: set[int] = set()
-        node = self._top.get()
+        node = self._top.value
         while node is not None:
             if id(node) in seen:
                 raise RuntimeError(f"reachable chain has a cycle at {node.element}")
@@ -242,11 +245,6 @@ class RelaxedStack:
             nodes.append(node)
             node = node.next
         return nodes
-
-    def _new_node(self, element: Element):
-        if self._checked:
-            return _GuardedNode(element, self._record_violation)
-        return _Node(element)
 
     def _record_violation(self, message: str) -> None:
         with self._violations_lock:
@@ -260,7 +258,7 @@ def push_steps(top: AtomicReference, node) -> Generator[int, None, bool]:
     """push(node.element), yielding each line's label before its action."""
     while True:
         yield 3
-        t = top.get()
+        t = top.value
         yield 4
         if t is None or not t.elim:
             yield 6
@@ -276,7 +274,7 @@ def pop_steps(top: AtomicReference) -> Generator[int, None, Union[Element, _Empt
     """pop(), yielding each line's label before its action."""
     while True:
         yield 16
-        t = top.get()
+        t = top.value
         yield 17
         if t is None:
             return EMPTY

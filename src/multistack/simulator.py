@@ -37,7 +37,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .elements import EMPTY, Element, _Empty
 from .history import Event, EventKind, History, OpName, Payload
-from .relaxed_stack import PRIVATE_LINES, RelaxedStack, pop_steps, push_steps
+from .relaxed_stack import PRIVATE_LINES, RelaxedStack, _GuardedNode, pop_steps, push_steps
 
 
 class ScheduleError(Exception):
@@ -145,7 +145,7 @@ class Run:
             self._slot(entry - 1, None)
 
     def _new_node(self, element: Element):
-        node = self.stack._new_node(element)
+        node = _GuardedNode(element, self.stack._record_violation)
         self.nodes.append(node)
         return node
 
@@ -220,7 +220,7 @@ class Run:
         )
         return SimConfig(
             schedule=tuple(self.schedule),
-            top=ref(self._top.get()),
+            top=ref(self._top.value),
             nodes=tuple((node.element, ref(node.next), node.elim) for node in self.nodes),
             threads=threads,
         )

@@ -124,7 +124,7 @@ def test_bench_runs_the_stress_plans(monkeypatch):
 def test_bench_raises_when_a_run_fails_conservation(monkeypatch):
     class Leaky(TreiberStack):
         def pop(self, trace=None):  # returns the top but leaves it there
-            top = self._top.get()
+            top = self._top.value
             return EMPTY if top is None else top.element
 
     monkeypatch.setattr(harness, "make_stack", lambda impl, checked: Leaky())
@@ -271,7 +271,7 @@ def test_conservation_rejects_baseline_duplicates():
 
 def test_conservation_reports_a_cycle_in_the_chain():
     result = run_stress(RunConfig(threads=1, ops_per_thread=6, seed=3))
-    top = deepest = result.stack._top.get()
+    top = deepest = result.stack._top.value
     while deepest.next is not None:
         deepest = deepest.next
     deepest.next = top

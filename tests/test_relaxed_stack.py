@@ -4,6 +4,7 @@ helping behavior, and real-thread stress with conservation checks."""
 from __future__ import annotations
 
 import dis
+import gc
 import random
 import sys
 import threading
@@ -25,10 +26,10 @@ def test_atomic_reference_compare_and_set():
     token_a = object()
     token_b = object()
     assert cell.compare_and_set(None, token_a)
-    assert cell.get() is token_a
+    assert cell.value is token_a
     assert not cell.compare_and_set(None, token_b)
     assert cell.compare_and_set(token_a, token_b)
-    assert cell.get() is token_b
+    assert cell.value is token_b
 
 
 # CPython 3.11's eval loop switches threads only at RESUME, at backward jumps
@@ -155,13 +156,46 @@ def test_logical_state_skips_deleted_nodes():
     stack = RelaxedStack()
     for value in (17, 11, 7):
         stack.push(stack.make_element(value))
-    stack._top.get().next.elim = True  # mark the middle node deleted
+    stack._top.value.next.elim = True  # mark the middle node deleted
     assert [e.value for e in stack.logical_state()] == [17, 7]
     assert [(e.value, elim) for e, elim in stack.memory_snapshot()] == [
         (17, False),
         (11, True),
         (7, False),
     ]
+
+
+def python_frames(action, *args) -> list[str]:
+    """Names of the Python frames one call of action runs, action's own first.
+    Collection is off, so no finalizer's frame gets in."""
+    frames = []
+
+    def profile(frame, event, arg) -> None:
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        action(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return frames
+
+
+def test_the_unchecked_fast_path_calls_only_compare_and_set():
+    # The live stack's cost is mostly Python calls: a push runs three frames
+    # (make_element, push, compare_and_set) and a pop two.  A dispatch or
+    # load method put back on the path fails here.
+    stack = RelaxedStack()
+    for _ in range(2):  # onto an empty stack, then onto a node
+        element = stack.make_element(5)
+        assert python_frames(stack.make_element, 5) == ["make_element"]
+        assert python_frames(stack.push, element) == ["push", "compare_and_set"]
+    for _ in range(2):
+        assert python_frames(stack.pop) == ["pop", "compare_and_set"]
+    assert python_frames(stack.pop) == ["pop"]  # empty: a load and out
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +220,7 @@ def test_push_and_pop_step_lines():
 def test_push_helps_past_a_deleted_top():
     stack = RelaxedStack()
     stack.push(stack.make_element(5))
-    stack._top.get().elim = True
+    stack._top.value.elim = True
     lines = trace_lines(lambda t: stack.push(stack.make_element(6), t))
     assert lines == [3, 4, 10, 3, 4, 6]
     assert [e.value for e in stack.logical_state()] == [6]
@@ -197,7 +231,7 @@ def test_pop_helps_past_a_deleted_top():
     stack = RelaxedStack()
     stack.push(stack.make_element(5))
     stack.push(stack.make_element(6))
-    stack._top.get().elim = True
+    stack._top.value.elim = True
     lines = trace_lines(stack.pop)
     assert lines == [16, 17, 20, 25, 16, 17, 20, 21, 22]
     assert stack.logical_state() == ()
@@ -206,7 +240,7 @@ def test_pop_helps_past_a_deleted_top():
 def test_guarded_nodes_report_flag_regression():
     stack = RelaxedStack(checked=True)
     stack.push(stack.make_element(1))
-    node = stack._top.get()
+    node = stack._top.value
     node.elim = True
     node.elim = False  # the forbidden direction
     assert stack.invariant_violations
@@ -233,6 +267,23 @@ def test_threaded_conservation_and_invariants(monkeypatch):
     monkeypatch.setattr(harness, "SWITCH_INTERVAL", 1e-6)
     result = run_stress(RunConfig("relaxed", threads=4, ops_per_thread=5000, seed=5))
     assert conservation_errors(result) == []  # the checked stack's invariants too
+
+
+def test_unchecked_threaded_conservation_and_node_fields(monkeypatch):
+    # The path the live benchmark times: unchecked nodes, built without an
+    # __init__, under as many thread switches as the interpreter allows.
+    monkeypatch.setattr(harness, "SWITCH_INTERVAL", 1e-6)
+    config = RunConfig("relaxed", threads=2, ops_per_thread=5000, seed=7)
+    stack = RelaxedStack()
+    outcomes, _, _ = harness.drive(config, stack)
+    result = StressResult(config, History(()), {}, outcomes, stack)
+    assert conservation_errors(result) == []
+    # An unset slot raises here: the snapshot reads every reachable node's
+    # element and elim, and its walk reads next.  Seed 7's plans push 62
+    # more times than they pop, so at least 62 nodes stay reachable.
+    snapshot = stack.memory_snapshot()
+    assert tuple(e for e, deleted in snapshot if not deleted) == stack.logical_state()
+    assert len(stack.logical_state()) >= 62
 
 
 def test_a_pop_parked_after_its_flag_write_is_helped_past():
