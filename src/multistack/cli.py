@@ -1,15 +1,15 @@
-"""Command line front end: stress runs, checking, replay, exploration, bench.
-
-This module parses arguments, dispatches to the subcommands and prints
-their results; the live runs behind stress and bench are in harness.py.
+"""Command line front end: parses arguments, dispatches to the subcommands
+and prints their results.  The live runs behind stress and bench are in
+harness.py, replay and the exhaustive sweep behind explore in simulator.py.
 Subcommands communicate through the history text format: stress and
 replay write it, check reads it back.  Seeds fix the per-thread operation
 mix (see harness.RunConfig.plans), so a rerun with the same seed performs
 the same operations and differs only in interleaving.
 
-Exit codes of `check`: 0 accepted, 1 rejected, 2 undecided (size cap),
-3 malformed input or an unwritable witness path.  Every subcommand exits
-2 on a usage error, a negative or non-integer count included.
+Exit codes: 0 success; 1 check rejected, a replay expectation failed,
+stress conservation failed, or explore's sweep rejected a run; 2 a usage
+error (a negative or non-integer count included) or check undecided at
+its size cap; 3 malformed input or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import sys
-from collections import Counter
 from typing import Optional, Sequence
 
 from .checker import (
@@ -29,28 +27,20 @@ from .checker import (
     check_set_linearizable,
     write_witness,
 )
-from .elements import Element, _Empty
 from .harness import IMPLS, RunConfig, conservation_errors, run_bench, run_stress
-from .history import (
-    EventKind,
-    History,
-    HistoryFormatError,
-    OpName,
-    dumps,
-    read_history,
-    write_history,
-)
+from .history import HistoryFormatError, dumps, read_history, write_history
 from .simulator import (
     FixtureFormatError,
-    PlannedOp,
-    Scenario,
     ScheduleError,
-    explore,
     load_bundled_fixture,
     load_fixture,
     replay_scenario,
+    return_token,
+    sweep_family,
     verify_expectations,
 )
+# Not used here: perfbench/workloads.py looks both up on this module.
+from .simulator import all_program_mixes, history_shares_return  # noqa: F401
 
 BUNDLED_FIXTURES = ("shared_pop", "helped_pop", "push_race", "push_helps")
 
@@ -68,7 +58,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     result = run_stress(config)
-    errors = conservation_errors(result)
+    errors = conservation_errors(result.stack, result.outcomes)
     try:
         write_history(result.history, args.output)
     except OSError as exc:
@@ -132,7 +122,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     memory = " ".join(f"({e.value},{'T' if elim else 'F'})" for e, elim in result.memory)
     logical = " ".join(str(e.value) for e in result.logical)
     returns = " ".join(
-        _return_token(value) for per_thread in result.returns for value in per_thread
+        return_token(value) for per_thread in result.returns for value in per_thread
     )
     print(f"FINAL MEMORY {memory}".rstrip())
     print(f"FINAL LOGICAL {logical}".rstrip())
@@ -153,87 +143,21 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _return_token(value: object) -> str:
-    if value is True:
-        return "true"
-    if isinstance(value, _Empty):
-        return "empty"
-    if isinstance(value, Element):
-        return str(value.value)
-    return repr(value)
-
-
-def all_program_mixes(
-    threads: int, ops_per_thread: int
-) -> list[tuple[tuple[PlannedOp, ...], ...]]:
-    """Every assignment of push/pop to the threads' program slots.  Push
-    values (and ids) are numbered per mix in thread-major order."""
-    mixes = []
-    slots = threads * ops_per_thread
-    for bits in itertools.product((OpName.PUSH, OpName.POP), repeat=slots):
-        programs = []
-        op_id = 0
-        value = 0
-        for thread in range(threads):
-            program = []
-            for position in range(ops_per_thread):
-                name = bits[thread * ops_per_thread + position]
-                op_id += 1
-                if name is OpName.PUSH:
-                    value += 1
-                    program.append(PlannedOp(op_id, name, Element(value, value)))
-                else:
-                    program.append(PlannedOp(op_id, name))
-            programs.append(tuple(program))
-        mixes.append(tuple(programs))
-    return mixes
-
-
-def history_shares_return(history: History) -> bool:
-    counts = Counter(
-        event.payload.push_id
-        for event in history.events
-        if event.kind is EventKind.RESPONSE and isinstance(event.payload, Element)
-    )
-    return any(n > 1 for n in counts.values())
-
-
 def cmd_explore(args: argparse.Namespace) -> int:
-    max_ops = args.threads * args.ops  # every run completes all of them
-    total_runs = 0
-    accepted = 0
-    rejected_schedules = []
-    shared = 0
-    shared_lin_rejected = 0
-    for programs in all_program_mixes(args.threads, args.ops):
-        scenario = Scenario(programs=programs)
-        mix_runs = 0
-        for run in explore(scenario):
-            mix_runs += 1
-            verdict = check_set_linearizable(run.history, max_ops=max_ops)
-            if verdict.accepted:
-                accepted += 1
-            else:
-                rejected_schedules.append((programs, run.schedule, verdict.refutation))
-            if history_shares_return(run.history):
-                shared += 1
-                if not check_linearizable(run.history, max_ops=max_ops).accepted:
-                    shared_lin_rejected += 1
-        total_runs += mix_runs
-        if args.verbose:
-            names = " | ".join(
-                ",".join(op.name.value for op in program) for program in programs
-            )
-            print(f"mix {names}: {mix_runs} interleavings")
+    sweep = sweep_family(args.threads, args.ops)
+    if args.verbose:
+        for programs, runs in sweep.mixes:
+            names = " | ".join(",".join(op.name.value for op in program) for program in programs)
+            print(f"mix {names}: {runs} interleavings")
     print(
         f"threads={args.threads} ops_per_thread={args.ops} "
-        f"mixes={2 ** (args.threads * args.ops)} interleavings={total_runs} "
-        f"setlin_accepted={accepted} setlin_rejected={len(rejected_schedules)} "
-        f"shared_return={shared} shared_lin_rejected={shared_lin_rejected}"
+        f"mixes={len(sweep.mixes)} interleavings={sweep.runs} "
+        f"setlin_accepted={sweep.accepted} setlin_rejected={len(sweep.rejected)} "
+        f"shared_return={sweep.shared} shared_lin_rejected={sweep.shared_lin_rejected}"
     )
-    for programs, schedule, refutation in rejected_schedules[:5]:
+    for schedule, refutation in sweep.rejected[:5]:
         print(f"REJECTED schedule {schedule}: {refutation}")
-    return 1 if rejected_schedules else 0
+    return 1 if sweep.rejected else 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -44,6 +44,7 @@ parse_event, which words every error.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -303,6 +304,16 @@ def precedes(a: OperationRecord, b: OperationRecord) -> bool:
 
 def concurrent(a: OperationRecord, b: OperationRecord) -> bool:
     return a is not b and not precedes(a, b) and not precedes(b, a)
+
+
+def history_shares_return(history: History) -> bool:
+    """True when two responses return the same pushed element."""
+    counts = Counter(
+        event.payload.push_id
+        for event in history.events
+        if event.kind is EventKind.RESPONSE and isinstance(event.payload, Element)
+    )
+    return any(n > 1 for n in counts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -27,16 +27,21 @@ Every newly taken slot reads the checked stack's invariant violations:
 its guarded nodes record a deletion flag going back to False, and it
 walks its chain from the top for a cycle.  Either raises
 SimulationInvariantError instead of propagating silently.
+
+sweep_family is the exhaustive check behind `multistack explore` and the
+acceptance gates: every interleaving of every push/pop mix of a family.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
+from .checker import check_linearizable, check_set_linearizable
 from .elements import EMPTY, Element, _Empty
-from .history import Event, EventKind, History, OpName, Payload
+from .history import Event, EventKind, History, OpName, Payload, history_shares_return
 from .relaxed_stack import PRIVATE_LINES, RelaxedStack, _GuardedNode, pop_steps, push_steps
 
 
@@ -312,8 +317,7 @@ def verify_expectations(scenario: Scenario, result: ScenarioResult) -> list[str]
             for index, (want, got) in enumerate(zip(expected, actual)):
                 if not _return_matches(want, got):
                     problems.append(
-                        f"return {index + 1}: expected {_expectation_text(want)}, "
-                        f"got {got!r}"
+                        f"return {index + 1}: expected {return_token(want)}, got {got!r}"
                     )
     if scenario.expect_logical is not None:
         got_values = tuple(e.value for e in result.logical)
@@ -336,14 +340,6 @@ def _return_matches(want: Expectation, got: Payload) -> bool:
     if isinstance(want, _Empty):
         return isinstance(got, _Empty)
     return isinstance(got, Element) and got.value == want
-
-
-def _expectation_text(want: Expectation) -> str:
-    if want is True:
-        return "true"
-    if isinstance(want, _Empty):
-        return "empty"
-    return str(want)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +379,72 @@ def explore(scenario: Scenario, max_steps: int = 500) -> Iterator[ExploredRun]:
         del events[mark:]
         run = Run(scenario, prefix)
         run.take(thread, events)
+
+
+def all_program_mixes(
+    threads: int, ops_per_thread: int
+) -> list[tuple[tuple[PlannedOp, ...], ...]]:
+    """Every assignment of push/pop to the threads' program slots.  Push
+    values (and ids) are numbered per mix in thread-major order."""
+    mixes = []
+    slots = threads * ops_per_thread
+    for bits in itertools.product((OpName.PUSH, OpName.POP), repeat=slots):
+        programs = []
+        op_id = 0
+        value = 0
+        for thread in range(threads):
+            program = []
+            for position in range(ops_per_thread):
+                name = bits[thread * ops_per_thread + position]
+                op_id += 1
+                if name is OpName.PUSH:
+                    value += 1
+                    program.append(PlannedOp(op_id, name, Element(value, value)))
+                else:
+                    program.append(PlannedOp(op_id, name))
+            programs.append(tuple(program))
+        mixes.append(tuple(programs))
+    return mixes
+
+
+class FamilySweep(NamedTuple):
+    """What sweep_family found; mixes and rejected are in exploration order."""
+
+    mixes: tuple[tuple[tuple[tuple[PlannedOp, ...], ...], int], ...]  # (programs, runs)
+    accepted: int  # set-linearizable runs
+    shared: int  # runs in which two pops return one element
+    shared_lin_rejected: int  # of those, the runs plain linearizability rejects
+    rejected: tuple[tuple[tuple[int, ...], str], ...]  # (schedule, refutation), set-lin
+
+    @property
+    def runs(self) -> int:
+        return sum(runs for _, runs in self.mixes)
+
+
+def sweep_family(threads: int, ops_per_thread: int) -> FamilySweep:
+    """Explore every interleaving of every push/pop mix of the family and
+    judge each run: set-linearizable, with the checker capped at the
+    family's operation count (every run completes them all), and, when two
+    pops return the same element, re-checked for plain linearizability."""
+    max_ops = threads * ops_per_thread
+    mixes = []
+    accepted = shared = shared_lin_rejected = 0
+    rejected = []
+    for programs in all_program_mixes(threads, ops_per_thread):
+        runs = 0
+        for run in explore(Scenario(programs=programs)):
+            runs += 1
+            verdict = check_set_linearizable(run.history, max_ops=max_ops)
+            if verdict.accepted:
+                accepted += 1
+            else:
+                rejected.append((run.schedule, verdict.refutation))
+            if history_shares_return(run.history):
+                shared += 1
+                if not check_linearizable(run.history, max_ops=max_ops).accepted:
+                    shared_lin_rejected += 1
+        mixes.append((programs, runs))
+    return FamilySweep(tuple(mixes), accepted, shared, shared_lin_rejected, tuple(rejected))
 
 
 def reachable_configs(scenario: Scenario) -> Iterator[SimConfig]:
@@ -607,6 +669,15 @@ def _parse_expectation(token: str, lineno: int) -> Expectation:
     if token == "empty":
         return EMPTY
     return _parse_int(token, lineno, "return value")
+
+
+def return_token(value: Union[Payload, Expectation]) -> str:
+    """The fixture token of a return or an expected one: true, empty or the value."""
+    if value is True:
+        return "true"
+    if isinstance(value, _Empty):
+        return "empty"
+    return str(value.value if isinstance(value, Element) else value)
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:

@@ -17,21 +17,16 @@ from multistack.checker import (
     check_linearizable,
     check_set_linearizable,
 )
-from multistack.cli import (
-    RunConfig,
-    all_program_mixes,
-    conservation_errors,
-    history_shares_return,
-    run_stress,
-)
+from multistack.harness import RunConfig, conservation_errors, run_stress
 from multistack.simulator import (
     Scenario,
-    explore,
+    all_program_mixes,
     load_bundled_fixture,
     probe_budget,
     progress_probe,
     reachable_configs,
     replay_scenario,
+    sweep_family,
     thread_enabled,
     verify_expectations,
 )
@@ -52,38 +47,21 @@ def emit(capsys, number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def exploration():
-    """Every interleaving of every push/pop mix in both families, each run
-    checked for set-linearizability, shared returns rechecked for plain
-    linearizability.  Completing at all also certifies that no per-step
-    invariant tripped across any run."""
-    data = {
-        "total": 0,
-        "accepted": 0,
-        "per_family": {},
-        "shared": 0,
-        "shared_lin_rejected": 0,
-        "refutations": [],
-    }
+    """Both families through the sweep behind `multistack explore`: every
+    interleaving of every push/pop mix checked for set-linearizability,
+    shared returns rechecked for plain linearizability.  Completing at all
+    also certifies that no per-step invariant tripped across any run."""
     started = time.perf_counter()
-    for threads, ops in FAMILIES:
-        family_runs = 0
-        for programs in all_program_mixes(threads, ops):
-            scenario = Scenario(programs=programs)
-            for run in explore(scenario):
-                family_runs += 1
-                verdict = check_set_linearizable(run.history)
-                if verdict.accepted:
-                    data["accepted"] += 1
-                elif len(data["refutations"]) < 3:
-                    data["refutations"].append((run.schedule, verdict.refutation))
-                if history_shares_return(run.history):
-                    data["shared"] += 1
-                    if not check_linearizable(run.history).accepted:
-                        data["shared_lin_rejected"] += 1
-        data["per_family"][(threads, ops)] = family_runs
-        data["total"] += family_runs
-    data["elapsed"] = time.perf_counter() - started
-    return data
+    sweeps = [sweep_family(*family) for family in FAMILIES]
+    return {
+        "total": sum(s.runs for s in sweeps),
+        "accepted": sum(s.accepted for s in sweeps),
+        "per_family": {family: s.runs for family, s in zip(FAMILIES, sweeps)},
+        "shared": sum(s.shared for s in sweeps),
+        "shared_lin_rejected": sum(s.shared_lin_rejected for s in sweeps),
+        "rejected": [pair for s in sweeps for pair in s.rejected],
+        "elapsed": time.perf_counter() - started,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +107,7 @@ def stress_sweep():
             RunConfig(impl="relaxed", threads=4, ops_per_thread=4, seed=seed)
         )
         runs += 1
-        conservation.extend(conservation_errors(result))
+        conservation.extend(conservation_errors(result.stack, result.outcomes))
         guard_violations += len(result.stack.invariant_violations)
         if not check_set_linearizable(result.history).accepted:
             relaxed_rejections.append(seed)
@@ -138,12 +116,12 @@ def stress_sweep():
             RunConfig(impl="baseline", threads=4, ops_per_thread=4, seed=seed)
         )
         runs += 1
-        conservation.extend(conservation_errors(result))
+        conservation.extend(conservation_errors(result.stack, result.outcomes))
         if not check_linearizable(result.history).accepted:
             baseline_rejections.append(seed)
     big = run_stress(RunConfig(impl="relaxed", threads=8, ops_per_thread=10000, seed=5))
     runs += 1
-    conservation.extend(conservation_errors(big))
+    conservation.extend(conservation_errors(big.stack, big.outcomes))
     guard_violations += len(big.stack.invariant_violations)
     return {
         "runs": runs,
@@ -206,7 +184,7 @@ def test_acceptance_2_exhaustive_set_linearizability(capsys, exploration):
         f"{exploration['accepted']}/{exploration['total']} interleavings "
         f"accepted ({counts}) in {exploration['elapsed']:.0f}s",
     )
-    assert exploration["refutations"] == []
+    assert exploration["rejected"] == []
     assert exploration["accepted"] == exploration["total"] > 0
     assert exploration["elapsed"] < 300.0
 

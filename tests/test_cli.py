@@ -11,8 +11,9 @@ from collections import Counter
 import pytest
 
 import multistack.harness as harness
+import multistack.simulator as simulator
 from multistack.baseline_stack import TreiberStack
-from multistack.cli import BUNDLED_FIXTURES, all_program_mixes, history_shares_return, main
+from multistack.cli import BUNDLED_FIXTURES, main
 from multistack.elements import EMPTY, Element
 from multistack.harness import (
     RunConfig,
@@ -25,15 +26,15 @@ from multistack.harness import (
 )
 from multistack.history import (
     EventKind,
-    History,
     OpName,
     dumps,
+    history_shares_return,
     operations,
     read_history,
     write_history,
 )
 from multistack.relaxed_stack import RelaxedStack
-from multistack.simulator import load_bundled_fixture, replay_scenario
+from multistack.simulator import all_program_mixes, load_bundled_fixture, replay_scenario
 from support import build_history, sequential_history
 
 
@@ -214,44 +215,26 @@ def test_stress_records_a_complete_history():
     assert not any(e.kind is EventKind.STEP for e in result.history.events)
     assert result.step_counts
     assert result.pushes + result.pops == config.total_ops
-    assert conservation_errors(result) == []
+    assert conservation_errors(result.stack, result.outcomes) == []
 
 
 def test_conservation_catches_a_pop_from_nowhere():
-    result = StressResult(
-        config=RunConfig(threads=1, ops_per_thread=1),
-        history=History(()),
-        step_counts={},
-        outcomes=[[(OpName.POP, Element(5, 77))]],
-        stack=RelaxedStack(),
-    )
-    assert any("never pushed" in e for e in conservation_errors(result))
+    errors = conservation_errors(RelaxedStack(), [[(OpName.POP, Element(5, 77))]])
+    assert any("never pushed" in e for e in errors)
 
 
 def test_conservation_catches_a_lost_element():
-    element = Element(5, 1)
-    result = StressResult(
-        config=RunConfig(threads=1, ops_per_thread=1),
-        history=History(()),
-        step_counts={},
-        outcomes=[[(OpName.PUSH, element)]],
-        stack=RelaxedStack(),  # empty: the push never landed
-    )
-    assert any("neither popped nor on the stack" in e for e in conservation_errors(result))
+    # The stack is empty: the push never landed.
+    errors = conservation_errors(RelaxedStack(), [[(OpName.PUSH, Element(5, 1))]])
+    assert any("neither popped nor on the stack" in e for e in errors)
 
 
 def test_conservation_catches_a_popped_element_still_present():
     stack = TreiberStack()
     element = stack.make_element(5)
     stack.push(element)
-    result = StressResult(
-        config=RunConfig(impl="baseline", threads=1, ops_per_thread=2),
-        history=History(()),
-        step_counts={},
-        outcomes=[[(OpName.PUSH, element), (OpName.POP, element)]],
-        stack=stack,
-    )
-    assert any("both popped and still on the stack" in e for e in conservation_errors(result))
+    errors = conservation_errors(stack, [[(OpName.PUSH, element), (OpName.POP, element)]])
+    assert any("both popped and still on the stack" in e for e in errors)
 
 
 def test_conservation_rejects_baseline_duplicates():
@@ -259,14 +242,12 @@ def test_conservation_rejects_baseline_duplicates():
     element = stack.make_element(5)
     stack.push(element)
     stack.pop()
-    result = StressResult(
-        config=RunConfig(impl="baseline", threads=1, ops_per_thread=3),
-        history=History(()),
-        step_counts={},
-        outcomes=[[(OpName.PUSH, element), (OpName.POP, element), (OpName.POP, element)]],
-        stack=stack,
-    )
-    assert any("more than once" in e for e in conservation_errors(result))
+    outcomes = [[(OpName.PUSH, element), (OpName.POP, element), (OpName.POP, element)]]
+    assert conservation_errors(stack, outcomes) == [
+        f"baseline returned ids more than once: [{element.push_id}]"
+    ]
+    # The same returns from a relaxed stack are a shared pop, not an error.
+    assert conservation_errors(RelaxedStack(), outcomes) == []
 
 
 def test_conservation_reports_a_cycle_in_the_chain():
@@ -275,7 +256,7 @@ def test_conservation_reports_a_cycle_in_the_chain():
     while deepest.next is not None:
         deepest = deepest.next
     deepest.next = top
-    errors = conservation_errors(result)
+    errors = conservation_errors(result.stack, result.outcomes)
     assert any("reachable chain has a cycle" in e for e in errors), errors
 
 
@@ -566,6 +547,37 @@ def test_explore_verbose_lists_mixes(capsys):
     captured = capsys.readouterr().out
     assert "mix PUSH: 1 interleavings" in captured
     assert "mix POP: 1 interleavings" in captured
+
+
+def pop_without_removing(top):
+    """A broken pop: returns the top element without flagging or swinging it."""
+    yield 16
+    t = top.value
+    yield 17
+    if t is None:
+        return EMPTY
+    yield 20
+    return t.element
+
+
+def test_explore_reports_a_rejected_schedule(monkeypatch, capsys):
+    monkeypatch.setattr(simulator, "pop_steps", pop_without_removing)
+    assert main(["explore", "--threads", "1", "--ops", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "setlin_rejected=1 " in lines[0]
+    assert lines[1:] == [
+        "REJECTED schedule (1, 1, 1, 1, 1, 1, 1): "
+        "ops 2 and 3 both popped id #1 but do not overlap in real time"
+    ]
+
+
+def test_explore_prints_at_most_five_rejected_schedules(monkeypatch, capsys):
+    monkeypatch.setattr(simulator, "pop_steps", pop_without_removing)
+    assert main(["explore", "--threads", "1", "--ops", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("threads=1 ops_per_thread=5 ")
+    assert len(lines) == 6
+    assert all(line.startswith("REJECTED schedule (") for line in lines[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import pytest
 from multistack import harness
 from multistack.baseline_stack import TreiberStack
 from multistack.elements import EMPTY, Element
-from multistack.harness import RunConfig, StressResult, conservation_errors, run_stress
-from multistack.history import History, OpName
+from multistack.harness import RunConfig, conservation_errors, run_stress
+from multistack.history import OpName
 from multistack.relaxed_stack import AtomicReference, RelaxedStack
 
 
@@ -266,7 +266,7 @@ def test_threaded_conservation_and_invariants(monkeypatch):
     # that a switch can split loses pushes in every run.
     monkeypatch.setattr(harness, "SWITCH_INTERVAL", 1e-6)
     result = run_stress(RunConfig("relaxed", threads=4, ops_per_thread=5000, seed=5))
-    assert conservation_errors(result) == []  # the checked stack's invariants too
+    assert conservation_errors(result.stack, result.outcomes) == []  # invariants too
 
 
 def test_unchecked_threaded_conservation_and_node_fields(monkeypatch):
@@ -276,8 +276,7 @@ def test_unchecked_threaded_conservation_and_node_fields(monkeypatch):
     config = RunConfig("relaxed", threads=2, ops_per_thread=5000, seed=7)
     stack = RelaxedStack()
     outcomes, _, _ = harness.drive(config, stack)
-    result = StressResult(config, History(()), {}, outcomes, stack)
-    assert conservation_errors(result) == []
+    assert conservation_errors(stack, outcomes) == []
     # An unset slot raises here: the snapshot reads every reachable node's
     # element and elim, and its walk reads next.  Seed 7's plans push 62
     # more times than they pop, so at least 62 nodes stay reachable.
@@ -337,5 +336,4 @@ def test_a_pop_parked_after_its_flag_write_is_helped_past():
     assert not crashed.is_alive()
     assert parked_result == [flagged]
     outcomes = [[(OpName.PUSH, e) for e in prefill], helper_outcomes, [(OpName.POP, flagged)]]
-    result = StressResult(RunConfig(), History(()), {}, outcomes, stack)
-    assert conservation_errors(result) == []
+    assert conservation_errors(stack, outcomes) == []
