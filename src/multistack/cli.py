@@ -27,7 +27,7 @@ from .checker import (
     check_set_linearizable,
     write_witness,
 )
-from .harness import IMPLS, RunConfig, conservation_errors, run_bench, run_stress
+from .harness import IMPLS, RunConfig, run_bench, run_stress
 from .history import HistoryFormatError, dumps, read_history, write_history
 from .simulator import (
     FixtureFormatError,
@@ -51,29 +51,22 @@ BUNDLED_FIXTURES = ("shared_pop", "helped_pop", "push_race", "push_helps")
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        impl=args.impl,
-        threads=args.threads,
-        ops_per_thread=args.ops_per_thread,
-        seed=args.seed,
-    )
+    config = RunConfig(args.impl, args.threads, args.ops_per_thread, args.seed)
     result = run_stress(config)
-    errors = conservation_errors(result.stack, result.outcomes)
     try:
         write_history(result.history, args.output)
     except OSError as exc:
         print(f"ERROR: {exc}")
         return 3
-    shared = result.shared_return_ids
     print(
         f"impl={config.impl} threads={config.threads} ops_per_thread={config.ops_per_thread} "
         f"total_ops={config.total_ops} pushes={result.pushes} pops={result.pops} "
-        f"empty_pops={result.empty_pops} shared_returns={len(shared)} "
+        f"empty_pops={result.empty_pops} shared_returns={len(result.shared_return_ids)} "
         f"retries={result.retries} helps={result.helps} history={args.output}"
     )
-    for error in errors:
+    for error in result.conservation:
         print(f"CONSERVATION VIOLATED: {error}")
-    return 1 if errors else 0
+    return 1 if result.conservation else 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -9,14 +9,14 @@ plan (two or more run at the switch interval SWITCH_INTERVAL), releases
 them together from a barrier, and returns what each operation pushed or
 popped, the seconds from the release to the last join, and the steps
 per pseudocode line.  A stress run drives a checked stack, records every
-operation and counts its steps; a bench run drives an unchecked one,
-records and counts nothing and keeps the time.  Both then cross-check
-the drained stack with conservation_errors.
+operation and counts its steps, then fills in a StressResult once: its
+counters and the drained stack's conservation_errors are plain fields.
+A bench run drives an unchecked one, records and counts nothing, keeps
+the time and raises if the drained stack fails conservation_errors.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import statistics
@@ -25,12 +25,12 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .baseline_stack import TreiberStack
-from .elements import Element, _Empty
+from .elements import EMPTY, Element
 from .history import History, OpName, Recorder
-from .relaxed_stack import RelaxedStack
+from .relaxed_stack import ATTEMPT_LINES, HELP_LINES, RelaxedStack
 
 IMPLS = ("relaxed", "baseline")
 # Preempt often: widens the races a run can show, and a bench row then
@@ -165,66 +165,48 @@ def drive(
 class StressResult:
     config: RunConfig
     history: History
-    step_counts: dict[int, int]
+    step_counts: Counter[int]
     outcomes: Outcomes
     stack: Stack
-
-    @functools.cached_property
-    def _tallies(self) -> tuple[int, int, int, list[int]]:
-        """(pushes, pops, empty pops, ids returned by more than one pop), in one pass."""
-        pushes = pops = empty_pops = 0
-        popped: Counter[int] = Counter()
-        for ops in self.outcomes:
-            for name, value in ops:
-                if name is OpName.PUSH:
-                    pushes += 1
-                elif name is OpName.POP:
-                    pops += 1
-                    if isinstance(value, Element):
-                        popped[value.push_id] += 1
-                    elif isinstance(value, _Empty):
-                        empty_pops += 1
-        shared = sorted(pid for pid, n in popped.items() if n > 1)
-        return pushes, pops, empty_pops, shared
-
-    @property
-    def pushes(self) -> int:
-        return self._tallies[0]
-
-    @property
-    def pops(self) -> int:
-        return self._tallies[1]
-
-    @property
-    def empty_pops(self) -> int:
-        return self._tallies[2]
-
-    @property
-    def shared_return_ids(self) -> list[int]:
-        return list(self._tallies[3])
-
-    @property
-    def retries(self) -> int:
-        attempts = self.step_counts.get(3, 0) + self.step_counts.get(16, 0)
-        return max(0, attempts - self.pushes - self.pops)
-
-    @property
-    def helps(self) -> int:
-        return self.step_counts.get(10, 0) + self.step_counts.get(25, 0)
+    pushes: int
+    pops: int
+    empty_pops: int
+    shared_return_ids: list[int]
+    retries: int  # top loads (ATTEMPT_LINES) beyond one per operation
+    helps: int  # swings past a deleted top (HELP_LINES)
+    conservation: list[str]  # the drained run's conservation_errors
 
 
 def run_stress(config: RunConfig) -> StressResult:
-    """Drive a checked stack with config's plans, recording every operation."""
+    """Drive a checked stack with config's plans, recording every
+    operation, then tally the run and check its conservation."""
     stack = make_stack(config.impl, checked=True)
     recorder = Recorder()
     outcomes, _, step_counts = drive(config, stack, recorder)
+    popped = [value for ops in outcomes for name, value in ops if name is OpName.POP]
+    pushes, pops = config.total_ops - len(popped), len(popped)
+    attempts = sum(step_counts[line] for line in ATTEMPT_LINES)
     return StressResult(
         config=config,
         history=recorder.history(),
         step_counts=step_counts,
         outcomes=outcomes,
         stack=stack,
+        pushes=pushes,
+        pops=pops,
+        empty_pops=popped.count(EMPTY),
+        shared_return_ids=repeated_ids(popped),
+        # The baseline traces no line: it has no attempts to count.
+        retries=max(0, attempts - pushes - pops),
+        helps=sum(step_counts[line] for line in HELP_LINES),
+        conservation=conservation_errors(stack, outcomes),
     )
+
+
+def repeated_ids(values: Iterable[object]) -> list[int]:
+    """The push ids, sorted, of the elements that values holds more than once."""
+    counts = Counter(value.push_id for value in values if isinstance(value, Element))
+    return sorted(pid for pid, n in counts.items() if n > 1)
 
 
 def conservation_errors(stack: Stack, outcomes: Outcomes) -> list[str]:
@@ -256,7 +238,7 @@ def conservation_errors(stack: Stack, outcomes: Outcomes) -> list[str]:
         if lost:
             errors.append(f"pushed ids neither popped nor on the stack: {sorted(lost)}")
     if not isinstance(stack, RelaxedStack):
-        shared = sorted(pid for pid, n in Counter(e.push_id for e in popped).items() if n > 1)
+        shared = repeated_ids(popped)
         if shared:
             errors.append(f"baseline returned ids more than once: {shared}")
     return errors

@@ -58,6 +58,9 @@ Trace = Callable[[int], None]
 
 # Labels that take no shared action: a scheduled slot runs on through them.
 PRIVATE_LINES = frozenset({17})
+# The top loads that begin each attempt, and the swings past a deleted top.
+ATTEMPT_LINES = (3, 16)
+HELP_LINES = (10, 25)
 
 
 class AtomicReference:

@@ -315,7 +315,7 @@ def verify_expectations(scenario: Scenario, result: ScenarioResult) -> list[str]
             )
         else:
             for index, (want, got) in enumerate(zip(expected, actual)):
-                if not _return_matches(want, got):
+                if return_token(want) != return_token(got):
                     problems.append(
                         f"return {index + 1}: expected {return_token(want)}, got {got!r}"
                     )
@@ -332,14 +332,6 @@ def verify_expectations(scenario: Scenario, result: ScenarioResult) -> list[str]
                 f"memory: expected {scenario.expect_memory}, got {got_memory}"
             )
     return problems
-
-
-def _return_matches(want: Expectation, got: Payload) -> bool:
-    if want is True:
-        return got is True
-    if isinstance(want, _Empty):
-        return isinstance(got, _Empty)
-    return isinstance(got, Element) and got.value == want
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,14 @@ from multistack.history import (
     operations,
     read_history,
 )
-from multistack.spec_machine import ClassKind, apply_class, replay
+from multistack.spec_machine import (
+    ClassKind,
+    apply_class,
+    pop_empty_class,
+    pop_group_class,
+    push_class,
+    replay,
+)
 from naive_oracle import (
     linearizable_by_enumeration,
     set_linearizable_by_enumeration,
@@ -38,6 +46,7 @@ E17 = Element(17, 1)
 E11 = Element(11, 2)
 E7 = Element(7, 3)
 E13 = Element(13, 4)
+E5 = Element(5, 1)
 
 
 def triple_shared_pop_history() -> History:
@@ -399,6 +408,28 @@ def test_witnesses_replay_and_respect_precedence():
                     for b in first.op_ids
                 )
     assert accepted > 30
+
+
+@pytest.mark.parametrize(
+    "result, witness, message",
+    [
+        (
+            E5,
+            (pop_group_class([2], E5), push_class(1, E5)),
+            "witness does not replay: pop[2]->v:5#1 applied to the empty state",
+        ),
+        (E5, (push_class(1, E5),), "witness does not cover the operations exactly once"),
+        (
+            EMPTY,
+            (pop_empty_class(2), push_class(1, E5)),
+            "witness order contradicts real-time precedence",
+        ),
+    ],
+)
+def test_the_witness_check_refuses_a_bad_witness(result, witness, message):
+    records = complete_operations(sequential_history(("push", 1, E5), ("pop", 2, result)))
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        checker._verify_witness(witness, records)
 
 
 def test_acceptance_is_monotone_under_removing_the_last_class():

@@ -16,11 +16,13 @@ from multistack.baseline_stack import TreiberStack
 from multistack.cli import BUNDLED_FIXTURES, main
 from multistack.elements import EMPTY, Element
 from multistack.harness import (
+    IMPLS,
     RunConfig,
     StressResult,
     bench_once,
     conservation_errors,
     make_stack,
+    repeated_ids,
     run_bench,
     run_stress,
 )
@@ -122,15 +124,27 @@ def test_bench_runs_the_stress_plans(monkeypatch):
     assert stress_log == bench_log == sorted(config.plans(), key=repr)
 
 
-def test_bench_raises_when_a_run_fails_conservation(monkeypatch):
-    class Leaky(TreiberStack):
-        def pop(self, trace=None):  # returns the top but leaves it there
-            top = self._top.value
-            return EMPTY if top is None else top.element
+class Leaky(TreiberStack):
+    def pop(self, trace=None):  # returns the top but leaves it there
+        top = self._top.value
+        return EMPTY if top is None else top.element
 
+
+def test_bench_raises_when_a_run_fails_conservation(monkeypatch):
     monkeypatch.setattr(harness, "make_stack", lambda impl, checked: Leaky())
     with pytest.raises(AssertionError, match="both popped and still on the stack"):
         bench_once(RunConfig(impl="baseline", threads=1, ops_per_thread=20, seed=1))
+
+
+def test_a_failing_stack_operation_is_reraised_after_every_worker_ends(monkeypatch):
+    class Broken(TreiberStack):
+        def push(self, element, trace=None):
+            raise RuntimeError("boom")
+
+    monkeypatch.setattr(harness, "make_stack", lambda impl, checked: Broken())
+    with pytest.raises(RuntimeError, match="boom"):
+        run_stress(RunConfig(impl="baseline", threads=2, ops_per_thread=10, seed=1))
+    assert not [t for t in threading.enumerate() if t.name.startswith("process-")]
 
 
 def test_drive_shortens_the_switch_interval_only_for_two_or_more_threads():
@@ -205,6 +219,40 @@ def test_stress_step_counts_are_the_trace_calls(monkeypatch, seed):
     assert result.helps == calls[10] + calls[25]
 
 
+def assert_counters_match_the_history(result):
+    events = result.history.events
+    invoked = Counter(e.name for e in events if e.kind is EventKind.INVOCATION)
+    popped = [e.payload for e in events if e.kind is EventKind.RESPONSE and e.name is OpName.POP]
+    assert (result.pushes, result.pops) == (invoked[OpName.PUSH], invoked[OpName.POP])
+    assert result.empty_pops == popped.count(EMPTY)
+    shared = sorted({e.push_id for e in popped if e != EMPTY and popped.count(e) > 1})
+    assert result.shared_return_ids == shared
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_stress_counters_agree_with_the_recorded_history(impl, seed):
+    result = run_stress(RunConfig(impl, threads=3, ops_per_thread=60, seed=seed))
+    assert_counters_match_the_history(result)
+    assert result.conservation == []
+    if impl == "baseline":  # traces no line
+        assert (result.retries, result.helps) == (0, 0)
+
+
+def test_stress_counts_the_ids_a_leaky_stack_returns_twice(monkeypatch):
+    monkeypatch.setattr(harness, "make_stack", lambda impl, checked: Leaky())
+    result = run_stress(RunConfig("baseline", threads=1, ops_per_thread=20, seed=1))
+    assert_counters_match_the_history(result)
+    assert result.shared_return_ids == [2, 11]
+
+
+def test_repeated_ids_are_the_elements_held_more_than_once():
+    once, twice, thrice = Element(4, 4), Element(1, 1), Element(2, 3)
+    values = [twice, EMPTY, once, twice, thrice, True, thrice, thrice]
+    assert repeated_ids(values) == [1, 3]
+    assert repeated_ids([Element(1, 1), EMPTY, EMPTY]) == []
+
+
 def test_stress_records_a_complete_history():
     config = RunConfig(threads=2, ops_per_thread=15, seed=3)
     result = run_stress(config)
@@ -248,6 +296,12 @@ def test_conservation_rejects_baseline_duplicates():
     ]
     # The same returns from a relaxed stack are a shared pop, not an error.
     assert conservation_errors(RelaxedStack(), outcomes) == []
+
+
+def test_conservation_catches_a_push_id_handed_out_twice():
+    element = Element(5, 1)
+    outcomes = [[(OpName.PUSH, element)], [(OpName.PUSH, element)]]
+    assert "a push id was handed out twice" in conservation_errors(RelaxedStack(), outcomes)
 
 
 def test_conservation_reports_a_cycle_in_the_chain():
@@ -304,6 +358,27 @@ def test_stress_command_writes_history_and_summary(tmp_path, capsys):
     assert "CONSERVATION" not in captured
     history = read_history(out)
     assert len(operations(history)) == 20
+
+
+def test_stress_baseline_reports_no_retries_or_helps(tmp_path, capsys):
+    out = tmp_path / "run.history"
+    argv = ["stress", "--impl", "baseline", "-t", "2", "-n", "50", "--seed", "3", "-o", str(out)]
+    assert main(argv) == 0
+    assert " retries=0 helps=0 " in capsys.readouterr().out
+
+
+def test_stress_prints_each_conservation_violation_and_keeps_the_history(
+    monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(harness, "make_stack", lambda impl, checked: Leaky())
+    out = tmp_path / "run.history"
+    argv = ["stress", "--impl", "baseline", "-t", "1", "-n", "20", "--seed", "1", "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "CONSERVATION VIOLATED: ids both popped and still on the stack: [2, 3, 6, 10, 11]",
+        "CONSERVATION VIOLATED: baseline returned ids more than once: [2, 11]",
+    ]
+    assert len(operations(read_history(out))) == 20
 
 
 def test_stress_reports_unwritable_output(tmp_path, capsys):
@@ -471,6 +546,23 @@ def test_replay_failure_lists_the_mismatches(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in captured and "expected empty" in captured
+
+
+def test_replay_assert_lists_wrong_return_count_logical_state_and_memory(tmp_path, capsys):
+    fixture = tmp_path / "wrong.txt"
+    fixture.write_text(
+        "INIT (17,F) (11,T) (7,F) (13,F)\nOP 1 POP\nOP 2 POP\nOP 3 POP\n"
+        "SCHED 1 2 3 1 2 3 1 2 3 1 2 3\n"
+        "EXPECT RETURNS 13\nEXPECT LOGICAL 17\nEXPECT MEMORY (17,F)\n",
+        encoding="utf-8",
+    )
+    assert main(["replay", str(fixture), "--assert"]) == 1
+    failures = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failures == [
+        "FAIL expected 1 returns, run produced 3",
+        "FAIL logical state: expected (17,), got (17, 7)",
+        "FAIL memory: expected ((17, False),), got ((17, False), (11, True), (7, False))",
+    ]
 
 
 def test_replay_without_assert_ignores_expectations(tmp_path, capsys):

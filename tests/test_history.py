@@ -26,6 +26,7 @@ from multistack.history import (
     concurrent,
     dumps,
     format_event,
+    format_payload,
     loads,
     operations,
     parse_event,
@@ -92,6 +93,12 @@ def test_recorder_rejects_push_without_argument():
     recorder = Recorder()
     with pytest.raises(RecorderError):
         recorder.invocation(1, 1, OpName.PUSH)
+
+
+def test_recorder_rejects_pop_with_argument():
+    recorder = Recorder()
+    with pytest.raises(RecorderError, match="pop invocation of op 1 with an argument"):
+        recorder.invocation(1, 1, OpName.POP, Element(1, 1))
 
 
 def test_recorder_step_counting_mode():
@@ -358,6 +365,11 @@ def test_format_examples():
     )
 
 
+def test_format_payload_rejects_an_unencodable_payload():
+    with pytest.raises(ValueError, match="unencodable payload 3.5"):
+        format_payload(3.5)
+
+
 def test_history_round_trip_through_text():
     history = sequential_history(("push", 1, E1), ("push", 2, E2), ("pop", 3, E2))
     assert loads(dumps(history)) == history
@@ -426,6 +438,8 @@ def test_loads_reports_ill_formed_run_with_line():
         ("0 1 1 INV POP v:1#1\n1 1 1 RES POP empty\n", 1, "'-'"),
         ("0 1 1 INV POP true\n1 1 1 RES POP empty\n", 1, "'-'"),
         ("0 1 1 INV POP -\n1 1 1 RES POP -\n", 2, "'-'"),
+        ("0 1 1 INV POP -\n1 1 2 INV POP -\n", 2, "process 1 invoked op 2 while op 1 is pending"),
+        ("0 1 1 INV PUSH true\n", 1, "push invocation of op 1 lacks an element"),
     ],
 )
 def test_loads_rejects_malformed_events_with_line(text, lineno, fragment):
