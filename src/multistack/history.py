@@ -34,12 +34,14 @@ events, and history() keeps that order.
 Events and operation records are named tuples: immutable, compared and
 hashed by their fields, and cheap to build.  A History pairs its events
 into operation records once, on first use, and keeps them: validating a
-parsed file and checking it share one pairing.  dumps formats each
-payload once, with a table for the KIND and NAME tokens.  loads parses
-each distinct payload token once, so a pop's result is its push's
-Element, and validates each combination of KIND token, NAME token and
-payload type once; a line with anything it has not seen yet goes through
-parse_event, which words every error.
+parsed file and checking it share one pairing.  format_event and dumps
+take the KIND and NAME tokens from one table, and dumps formats each
+payload once.  loads parses each distinct payload token once, so a pop's
+result is its push's Element, and validates each combination of KIND
+token, NAME token and payload type once.  A line it cannot build from
+those caches (a new combination, or a field that does not parse) takes
+its one fallback, parse_event, which accepts the line or words its first
+error in field order.
 """
 
 from __future__ import annotations
@@ -74,8 +76,6 @@ class OpName(Enum):
 
 _KIND_BY_TOKEN = {kind.value: kind for kind in EventKind}
 _NAME_BY_TOKEN = {name.value: name for name in OpName}
-_TOKEN_BY_KIND = {kind: token for token, kind in _KIND_BY_TOKEN.items()}
-_TOKEN_BY_NAME = {name: token for token, name in _NAME_BY_TOKEN.items()}
 # Module-level names: a global load is cheaper than an Enum class lookup.
 _INVOCATION, _RESPONSE = EventKind.INVOCATION, EventKind.RESPONSE
 _PUSH, _POP = OpName
@@ -194,9 +194,6 @@ class History:
 
     events: tuple[Event, ...]
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     @cached_property
     def _records(self) -> tuple[OperationRecord, ...]:
         """The paired operation records, built on first use and kept."""
@@ -267,8 +264,7 @@ def _pair(events: tuple[Event, ...]) -> tuple[OperationRecord, ...]:
             raise IllFormedHistory(
                 seq,
                 f"{'response' if is_response else 'step'} for op {op_id} names "
-                f"{_TOKEN_BY_NAME[name]} but op {op_id} is a "
-                f"{_TOKEN_BY_NAME[entry[2]]}",
+                f"{name.value} but op {op_id} is a {entry[2].value}",
             )
         if is_response:
             del pending[process]
@@ -335,20 +331,17 @@ def format_payload(payload: Payload) -> str:
     raise ValueError(f"unencodable payload {payload!r}")
 
 
-def format_event(seq: int, event: Event) -> str:
-    return (
-        f"{seq} {event.process} {event.op_id} "
-        f"{_TOKEN_BY_KIND[event.kind]} {_TOKEN_BY_NAME[event.name]} "
-        f"{format_payload(event.payload)}"
-    )
-
-
 # " KIND NAME " for every pair, so a line is three numbers, a head and a payload.
 _HEADS = {
-    (kind, name): f" {token} {name_token} "
-    for token, kind in _KIND_BY_TOKEN.items()
-    for name_token, name in _NAME_BY_TOKEN.items()
+    (kind, name): f" {kind.value} {name.value} " for kind in EventKind for name in OpName
 }
+
+
+def format_event(seq: int, event: Event) -> str:
+    return (
+        f"{seq} {event.process} {event.op_id}{_HEADS[event.kind, event.name]}"
+        f"{format_payload(event.payload)}"
+    )
 
 
 def dumps(history: History) -> str:
@@ -427,9 +420,6 @@ def _parse_event(line: str, lineno: int, payloads: dict[str, Payload]) -> tuple[
     return seq, Event(process, op_id, kind, name, payload)
 
 
-_UNSEEN = object()  # a payload token that does not parse; no head has its type
-
-
 def loads(text: str) -> History:
     events: list[Event] = []
     linenos: list[int] = []
@@ -439,29 +429,23 @@ def loads(text: str) -> History:
     heads: dict[tuple[str, str, type], tuple[EventKind, OpName]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if len(fields) == 6:
-            seq_text, proc_text, opid_text, kind_text, name_text, payload_text = fields
-            payload = payloads.get(payload_text, _UNSEEN)
-            if payload is _UNSEEN:
-                try:
-                    payload = payloads[payload_text] = _parse_payload(payload_text, lineno)
-                except HistoryFormatError:
-                    pass  # parse_event words it, after any error in an earlier field
-            head = heads.get((kind_text, name_text, type(payload)))
-            if head is not None:
-                try:
-                    seq, process, op_id = int(seq_text), int(proc_text), int(opid_text)
-                except ValueError:
-                    head = None  # parse_event words the error
-                else:
-                    event = _new(Event, (process, op_id, *head, payload))
-            if head is None:
-                seq, event = _parse_event(line, lineno, payloads)
-                heads[kind_text, name_text, type(event.payload)] = (event.kind, event.name)
-        elif fields:
-            _parse_event(line, lineno, payloads)  # raises: the field count
-        else:
+        if not fields:
             continue
+        try:
+            seq_text, proc_text, opid_text, kind_text, name_text, payload_text = fields
+            if payload_text in payloads:
+                payload = payloads[payload_text]
+            else:
+                payload = payloads[payload_text] = _parse_payload(payload_text, lineno)
+            kind, name = heads[kind_text, name_text, type(payload)]
+            seq = int(seq_text)
+            event = _new(Event, (int(proc_text), int(opid_text), kind, name, payload))
+        except (ValueError, KeyError):
+            # A field count, payload or integer that does not parse, or a head
+            # not accepted yet: parse_event words the first error in field
+            # order, or accepts the line and its head.
+            seq, event = _parse_event(line, lineno, payloads)
+            heads[kind_text, name_text, type(event.payload)] = (event.kind, event.name)
         if seq != len(events):
             raise HistoryFormatError(lineno, f"seq {seq} out of order; expected {len(events)}")
         events.append(event)

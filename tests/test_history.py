@@ -263,6 +263,25 @@ def test_loads_and_both_checks_pair_the_events_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_loads_parses_in_full_one_line_per_head(monkeypatch):
+    # Only a line whose (KIND, NAME, payload type) loads has not accepted yet
+    # goes through parse_event; every other line, a new element's first
+    # included, takes the cached path.
+    from multistack import history as history_module
+
+    calls = []
+    parse = history_module._parse_event
+    monkeypatch.setattr(
+        history_module, "_parse_event", lambda *args: calls.append(1) or parse(*args)
+    )
+    for seed in range(4):
+        history = run_stress(RunConfig(threads=2, ops_per_thread=256, seed=seed)).history
+        calls.clear()
+        assert loads(dumps(history)) == history
+        heads = {(e.kind, e.name, type(e.payload)) for e in history.events}
+        assert len(calls) == len(heads) == 5
+
+
 def test_operations_returns_a_fresh_list_each_call():
     from multistack.checker import check_set_linearizable
 
