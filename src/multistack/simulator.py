@@ -9,12 +9,14 @@ private line into the action before it (relaxed_stack lists the slots of
 each operation).  Shared actions are never fused with each other, so
 every interleaving of shared actions is a reachable schedule.
 
-A run is the schedule taken so far, its memory and one generator per busy
-thread.  Generators cannot be copied, so a run branches the way stateless
-model checkers do (CHESS, Musuvathi et al., OSDI 2008): a branch rebuilds
-the memory and replays its schedule from the root.  The replayed prefix
-emits no events and is not re-checked, both done when its slots were first
-taken; the explorer copies the prefix's events into each run it yields.
+A run's whole state is its Run: the schedule taken so far, its memory and
+one generator per busy thread.  Run.key() is the configuration it stands
+in, free of the schedule that reached it.  Generators cannot be copied,
+so a run branches the way stateless model checkers do (CHESS, Musuvathi
+et al., OSDI 2008): a branch rebuilds the memory and replays its schedule
+from the root.  The replayed prefix emits no events and is not
+re-checked, both done when its slots were first taken; the explorer
+copies the prefix's events into each run it yields.
 A schedule, replayed twice, yields byte-identical histories.
 
 Histories produced here open with a provenance prologue: a sequential run
@@ -28,8 +30,9 @@ its guarded nodes record a deletion flag going back to False, and it
 walks its chain from the top for a cycle.  Either raises
 SimulationInvariantError instead of propagating silently.
 
-sweep_family is the exhaustive check behind `multistack explore` and the
-acceptance gates: every interleaving of every push/pop mix of a family.
+sweep is the exhaustive check behind `multistack explore`, the acceptance
+gates and the mutant tests: every interleaving of each scenario, with each
+distinct history of invocations and responses judged once.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import inspect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .checker import check_linearizable, check_set_linearizable
 from .elements import EMPTY, Element, _Empty
@@ -64,7 +67,7 @@ class ExplorationTruncated(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Scenario and configuration
+# Scenario and run
 # ---------------------------------------------------------------------------
 
 
@@ -97,25 +100,6 @@ class Scenario:
     expect_returns: Optional[tuple[Expectation, ...]] = None
     expect_logical: Optional[tuple[int, ...]] = None
     expect_memory: Optional[tuple[tuple[int, bool], ...]] = None
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """An immutable snapshot of a run between two slots.
-
-    nodes holds every node the run has made, in the order made, as
-    (element, element its next link points at, deletion flag); top is the
-    top node's element.  threads holds, per thread, (line, op index,
-    registers): line is the label the thread executes next (None when
-    idle) and registers are its generator's locals as (name, element)
-    pairs, None standing for the empty marker.  schedule is the run's
-    slots so far; replaying it rebuilds the run.
-    """
-
-    schedule: tuple[int, ...]
-    top: Optional[Element]
-    nodes: tuple[tuple[Element, Optional[Element], bool], ...]
-    threads: tuple[tuple[Optional[int], int, tuple[tuple[str, Optional[Element]], ...]], ...]
 
 
 class _Thread:
@@ -205,7 +189,16 @@ class Run:
             state.line = line
         self.schedule.append(process)
 
-    def config(self) -> SimConfig:
+    def key(self) -> tuple:
+        """The run's configuration, hashable: (nodes, top, threads).  nodes
+        holds every node made as (element, element its next link points
+        at, deletion flag); top is the top node's element.  threads holds,
+        per thread, (line, op index, registers): line is the label the
+        thread executes next (None when idle) and registers are its
+        generator's locals as (name, element) pairs, None standing for the
+        empty marker.  Runs that reach one state by different schedules
+        share a key."""
+
         def ref(node) -> Optional[Element]:
             return None if node is None else node.element
 
@@ -223,27 +216,8 @@ class Run:
             )
             for state in self.threads
         )
-        return SimConfig(
-            schedule=tuple(self.schedule),
-            top=ref(self._top.value),
-            nodes=tuple((node.element, ref(node.next), node.elim) for node in self.nodes),
-            threads=threads,
-        )
-
-
-def thread_enabled(scenario: Scenario, config: SimConfig, thread: int) -> bool:
-    line, op_index, _ = config.threads[thread]
-    return line is not None or op_index < len(scenario.programs[thread])
-
-
-def memory_of(config: SimConfig) -> list[tuple[Element, bool]]:
-    """(element, deleted) for each node reachable from top, deepest first."""
-    links = {element: (below, deleted) for element, below, deleted in config.nodes}
-    chain, element = [], config.top
-    while element is not None:
-        chain.append((element, links[element][1]))
-        element = links[element][0]
-    return chain[::-1]
+        nodes = frozenset((node.element, ref(node.next), node.elim) for node in self.nodes)
+        return nodes, ref(self._top.value), threads
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +253,6 @@ def prologue_events(scenario: Scenario) -> list[Event]:
 @dataclass(frozen=True)
 class ScenarioResult:
     history: History
-    config: SimConfig
     returns: tuple[tuple[Payload, ...], ...]  # per thread, in program order
     logical: tuple[Element, ...]
     memory: tuple[tuple[Element, bool], ...]
@@ -295,7 +268,6 @@ def replay_scenario(scenario: Scenario) -> ScenarioResult:
         run.take(entry - 1, events)
     return ScenarioResult(
         history=History(tuple(events)),
-        config=run.config(),
         returns=tuple(tuple(state.returns) for state in run.threads),
         logical=run.stack.logical_state(),
         memory=tuple(run.stack.memory_snapshot()),
@@ -400,7 +372,7 @@ def all_program_mixes(
 
 
 class FamilySweep(NamedTuple):
-    """What sweep_family found; mixes and rejected are in exploration order."""
+    """What sweep found; mixes and rejected are in exploration order."""
 
     mixes: tuple[tuple[tuple[tuple[PlannedOp, ...], ...], int], ...]  # (programs, runs)
     accepted: int  # set-linearizable runs
@@ -413,61 +385,68 @@ class FamilySweep(NamedTuple):
         return sum(runs for _, runs in self.mixes)
 
 
-def sweep_family(threads: int, ops_per_thread: int) -> FamilySweep:
-    """Explore every interleaving of every push/pop mix of the family and
-    judge each run: set-linearizable, with the checker capped at the
-    family's operation count (every run completes them all), and, when two
-    pops return the same element, re-checked for plain linearizability."""
-    max_ops = threads * ops_per_thread
+def sweep(scenarios: Iterable[Scenario]) -> FamilySweep:
+    """Explore every interleaving of each scenario and judge each run:
+    set-linearizable, with the checker capped at the scenario's operation
+    count, the prologue's included (every run completes them all), and,
+    when two pops return the same element, re-checked for plain
+    linearizability.  The verdicts read only a run's invocations and
+    responses, so each distinct sequence of them is judged once; every run
+    is still explored, checked slot by slot and counted."""
+    verdicts: dict = {}  # INV/RES events -> (set-lin verdict, shares a return, lin rejects)
     mixes = []
     accepted = shared = shared_lin_rejected = 0
     rejected = []
-    for programs in all_program_mixes(threads, ops_per_thread):
+    for scenario in scenarios:
+        max_ops = len(prologue_events(scenario)) // 2 + sum(map(len, scenario.programs))
         runs = 0
-        for run in explore(Scenario(programs=programs)):
+        for run in explore(scenario):
             runs += 1
-            verdict = check_set_linearizable(run.history, max_ops=max_ops)
+            key = tuple(e for e in run.history.events if e.kind is not EventKind.STEP)
+            if key not in verdicts:
+                shares = history_shares_return(run.history)
+                verdicts[key] = (
+                    check_set_linearizable(run.history, max_ops=max_ops),
+                    shares,
+                    shares and not check_linearizable(run.history, max_ops=max_ops).accepted,
+                )
+            verdict, shares, lin_rejected = verdicts[key]
             if verdict.accepted:
                 accepted += 1
             else:
                 rejected.append((run.schedule, verdict.refutation))
-            if history_shares_return(run.history):
-                shared += 1
-                if not check_linearizable(run.history, max_ops=max_ops).accepted:
-                    shared_lin_rejected += 1
-        mixes.append((programs, runs))
+            shared += shares
+            shared_lin_rejected += lin_rejected
+        mixes.append((scenario.programs, runs))
     return FamilySweep(tuple(mixes), accepted, shared, shared_lin_rejected, tuple(rejected))
 
 
-def reachable_configs(scenario: Scenario) -> Iterator[SimConfig]:
-    """Every distinct configuration any schedule can reach, each once.
+def sweep_family(threads: int, ops_per_thread: int) -> FamilySweep:
+    """sweep over every push/pop mix of the family."""
+    mixes = all_program_mixes(threads, ops_per_thread)
+    return sweep(Scenario(programs=programs) for programs in mixes)
 
-    Distinctness is modulo schedule: configurations are keyed by which
-    elements sit where and what each thread holds, so runs that reach the
-    same state by different schedules collapse together.  Runs always
-    bottom out: flags only ever get set, nodes are only ever added, and a
-    retry needs somebody else's successful swing, of which there are
-    finitely many.
-    """
+
+def reachable_configs(scenario: Scenario) -> Iterator[tuple[int, ...]]:
+    """For each distinct Run.key() any schedule can reach, the schedule of
+    the first run to reach it.  Runs always bottom out: flags only ever get
+    set, nodes are only ever added, and a retry needs somebody else's
+    successful swing, of which there are finitely many."""
     seen: set = set()
 
-    def walk(run: Run) -> Iterator[SimConfig]:
-        config = run.config()
-        key = config_key(config)
+    def walk(run: Run) -> Iterator[tuple[int, ...]]:
+        key = run.key()
         if key in seen:
             return
         seen.add(key)
-        yield config
+        schedule = tuple(run.schedule)
+        yield schedule
         for branch, thread in enumerate(run.enabled()):
-            child = Run(scenario, config.schedule) if branch else run
+            child = Run(scenario, schedule) if branch else run
             child.take(thread)
             yield from walk(child)
 
     yield from walk(Run(scenario))
-
-
-def config_key(config: SimConfig):
-    return frozenset(config.nodes), config.top, config.threads
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +456,6 @@ def config_key(config: SimConfig):
 
 @dataclass(frozen=True)
 class ProbeReport:
-    stalled: int
-    budget: int
     steps_used: tuple[tuple[int, int], ...]  # (thread, slots its op took)
     failures: tuple[int, ...]  # 0-based threads whose op missed the budget
 
@@ -488,13 +465,13 @@ class ProbeReport:
 
 
 def progress_probe(
-    scenario: Scenario, config: SimConfig, stalled: int, budget: int
+    scenario: Scenario, schedule: Sequence[int], stalled: int, budget: int
 ) -> ProbeReport:
-    """Freeze one thread wherever it stands and let every other thread run
-    round robin.  Each other thread must finish its current operation (or
-    its next, if idle) within the given number of its own slots; no steps
-    of the frozen thread are ever taken."""
-    run = Run(scenario, config.schedule)
+    """Freeze one thread wherever the schedule leaves it and let every
+    other thread run round robin.  Each other thread must finish its
+    current operation (or its next, if idle) within the given number of
+    its own slots; no steps of the frozen thread are ever taken."""
+    run = Run(scenario, schedule)
     targets = {
         i: run.threads[i].op_index + 1 for i in run.enabled() if i != stalled
     }
@@ -512,15 +489,10 @@ def progress_probe(
                 continue
             run.take(i)
             used[i] += 1
-    return ProbeReport(
-        stalled=stalled,
-        budget=budget,
-        steps_used=tuple(sorted(used.items())),
-        failures=tuple(sorted(failures)),
-    )
+    return ProbeReport(tuple(sorted(used.items())), tuple(sorted(failures)))
 
 
-def probe_budget(config: SimConfig) -> int:
+def probe_budget(run: Run) -> int:
     """The step allowance used by the sweep: six slots per node still
     reachable from the top, plus six for the empty case.  Deleted but
     not yet unlinked nodes count: each one can cost a traversing thread a
@@ -529,7 +501,7 @@ def probe_budget(config: SimConfig) -> int:
     its swing and the chain holds a deleted top with nothing live behind
     it, yet a fresh push still needs a failed swing, a reread, a help and
     a retry before it lands."""
-    return 6 * (len(memory_of(config)) + 1)
+    return 6 * (len(run.stack.memory_snapshot()) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from multistack.checker import (
     check_linearizable,
     check_set_linearizable,
 )
-from multistack.harness import RunConfig, conservation_errors, run_stress
+from multistack.harness import RunConfig, run_stress
 from multistack.simulator import (
+    Run,
     Scenario,
     all_program_mixes,
     load_bundled_fixture,
@@ -27,7 +28,6 @@ from multistack.simulator import (
     reachable_configs,
     replay_scenario,
     sweep_family,
-    thread_enabled,
     verify_expectations,
 )
 from naive_oracle import set_linearizable_by_enumeration
@@ -74,14 +74,13 @@ def probe_sweep():
     for threads, ops in FAMILIES:
         for programs in all_program_mixes(threads, ops):
             scenario = Scenario(programs=programs)
-            for config in reachable_configs(scenario):
+            for schedule in reachable_configs(scenario):
                 configs += 1
-                budget = probe_budget(config)
-                for stalled in range(len(config.threads)):
-                    if not thread_enabled(scenario, config, stalled):
-                        continue
+                run = Run(scenario, schedule)
+                budget = probe_budget(run)
+                for stalled in run.enabled():
                     probes += 1
-                    report = progress_probe(scenario, config, stalled, budget)
+                    report = progress_probe(scenario, schedule, stalled, budget)
                     if not report.all_completed:
                         failures += 1
     return {
@@ -107,7 +106,7 @@ def stress_sweep():
             RunConfig(impl="relaxed", threads=4, ops_per_thread=4, seed=seed)
         )
         runs += 1
-        conservation.extend(conservation_errors(result.stack, result.outcomes))
+        conservation.extend(result.conservation)
         guard_violations += len(result.stack.invariant_violations)
         if not check_set_linearizable(result.history).accepted:
             relaxed_rejections.append(seed)
@@ -116,12 +115,12 @@ def stress_sweep():
             RunConfig(impl="baseline", threads=4, ops_per_thread=4, seed=seed)
         )
         runs += 1
-        conservation.extend(conservation_errors(result.stack, result.outcomes))
+        conservation.extend(result.conservation)
         if not check_linearizable(result.history).accepted:
             baseline_rejections.append(seed)
     big = run_stress(RunConfig(impl="relaxed", threads=8, ops_per_thread=10000, seed=5))
     runs += 1
-    conservation.extend(conservation_errors(big.stack, big.outcomes))
+    conservation.extend(big.conservation)
     guard_violations += len(big.stack.invariant_violations)
     return {
         "runs": runs,

@@ -1,9 +1,11 @@
-"""Broken variants of the algorithm, and the small sweeps that reject them.
+"""Broken variants of the algorithm, and the small scenarios whose sweeps
+reject them.
 
 Each mutant is push_steps or pop_steps with one line broken, patched into
 the simulator for one test only, so the package carries no mutant option.
-Each sweep explores every interleaving of one small scenario.  The real
-algorithm passes the same sweep, so a rejection is the mutant's doing.
+Each sweep is simulator.sweep over one small scenario: every interleaving
+explored and judged.  The real algorithm passes the same sweep, so a
+rejection is the mutant's doing.
 
 Three further mutants (no line-4 flag read, no line-22 swing, line 22
 before line 21) survive every sweep tried so far; ROADMAP.md tracks them.
@@ -11,15 +13,12 @@ before line 21) survive every sweep tried so far; ROADMAP.md tracks them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import pytest
 
 import multistack.simulator as simulator
-from multistack.checker import check_set_linearizable
 from multistack.elements import EMPTY, Element
-from multistack.history import OpName, history_shares_return
-from multistack.simulator import ExplorationTruncated, PlannedOp, Scenario, explore
+from multistack.history import OpName
+from multistack.simulator import ExplorationTruncated, PlannedOp, Scenario
 
 SEEDED = Element(1, 1)  # the prologue pushes it as op 1
 
@@ -79,59 +78,35 @@ def pop_noflagcheck(top):
 
 
 # ---------------------------------------------------------------------------
-# Sweeps
+# Scenarios
 # ---------------------------------------------------------------------------
 
 
-class Sweep(NamedTuple):
-    runs: int
-    shared: int  # runs in which two pops return one element
-    rejected: tuple[str, ...]  # refutations of the runs that are not set-linearizable
-
-
-def sweep(scenario: Scenario) -> Sweep:
-    runs = shared = 0
-    rejected = []
-    for run in explore(scenario):
-        runs += 1
-        shared += history_shares_return(run.history)
-        verdict = check_set_linearizable(run.history)
-        if not verdict.accepted:
-            rejected.append(verdict.refutation)
-    return Sweep(runs, shared, tuple(rejected))
-
-
-def two_pops_over_one_node() -> Sweep:
+def two_pops_over_one_node() -> Scenario:
     """Two threads pop once each over one seeded node."""
-    return sweep(
-        Scenario(
-            initial_memory=((SEEDED, False),),
-            programs=((PlannedOp(2, OpName.POP),), (PlannedOp(3, OpName.POP),)),
-        )
+    return Scenario(
+        initial_memory=((SEEDED, False),),
+        programs=((PlannedOp(2, OpName.POP),), (PlannedOp(3, OpName.POP),)),
     )
 
 
-def push_onto_a_deleted_top() -> Sweep:
+def push_onto_a_deleted_top() -> Scenario:
     """One push onto a seeded node that is already deleted."""
-    return sweep(
-        Scenario(
-            initial_memory=((SEEDED, True),),
-            programs=((PlannedOp(3, OpName.PUSH, Element(2, 2)),),),
-        )
+    return Scenario(
+        initial_memory=((SEEDED, True),),
+        programs=((PlannedOp(3, OpName.PUSH, Element(2, 2)),),),
     )
 
 
-def pops_around_a_push_and_pop() -> Sweep:
+def pops_around_a_push_and_pop() -> Scenario:
     """One 2x2 mix over one seeded node: thread 1 pops twice; thread 2
     pushes, then pops."""
-    return sweep(
-        Scenario(
-            initial_memory=((SEEDED, False),),
-            programs=(
-                (PlannedOp(2, OpName.POP), PlannedOp(3, OpName.POP)),
-                (PlannedOp(4, OpName.PUSH, Element(2, 2)), PlannedOp(5, OpName.POP)),
-            ),
-        )
+    return Scenario(
+        initial_memory=((SEEDED, False),),
+        programs=(
+            (PlannedOp(2, OpName.POP), PlannedOp(3, OpName.POP)),
+            (PlannedOp(4, OpName.PUSH, Element(2, 2)), PlannedOp(5, OpName.POP)),
+        ),
     )
 
 
@@ -141,31 +116,35 @@ def pops_around_a_push_and_pop() -> Sweep:
 
 
 def test_two_pops_over_one_node_share_a_return():
-    assert two_pops_over_one_node() == Sweep(70, 36, ())
+    result = simulator.sweep([two_pops_over_one_node()])
+    assert (result.runs, result.shared, result.rejected) == (70, 36, ())
 
 
 def test_pop_tas_never_shares_a_return(monkeypatch):
     monkeypatch.setattr(simulator, "pop_steps", pop_tas)
-    assert two_pops_over_one_node() == Sweep(26, 0, ())
+    result = simulator.sweep([two_pops_over_one_node()])
+    assert (result.runs, result.shared, result.rejected) == (26, 0, ())
 
 
 def test_a_push_onto_a_deleted_top_helps_and_lands():
-    assert push_onto_a_deleted_top() == Sweep(1, 0, ())
+    result = simulator.sweep([push_onto_a_deleted_top()])
+    assert (result.runs, result.shared, result.rejected) == (1, 0, ())
 
 
 def test_push_nohelp_never_lands_on_a_deleted_top(monkeypatch):
     monkeypatch.setattr(simulator, "push_steps", push_nohelp)
     with pytest.raises(ExplorationTruncated):
-        push_onto_a_deleted_top()
+        simulator.sweep([push_onto_a_deleted_top()])
 
 
 def test_pops_around_a_push_and_pop_are_set_linearizable():
-    result = pops_around_a_push_and_pop()
+    result = simulator.sweep([pops_around_a_push_and_pop()])
     assert (result.runs, result.rejected) == (8722, ())
 
 
 def test_pop_noflagcheck_pops_one_element_twice_in_sequence(monkeypatch):
     monkeypatch.setattr(simulator, "pop_steps", pop_noflagcheck)
-    result = pops_around_a_push_and_pop()
+    result = simulator.sweep([pops_around_a_push_and_pop()])
     assert (result.runs, len(result.rejected)) == (902, 33)
-    assert "ops 2 and 5 both popped id #1 but do not overlap in real time" in result.rejected
+    refutations = [refutation for _, refutation in result.rejected]
+    assert "ops 2 and 5 both popped id #1 but do not overlap in real time" in refutations

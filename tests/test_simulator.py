@@ -1,5 +1,5 @@
 """Slot semantics, fixture parsing, bundled replays, exhaustive
-exploration, and the stall probe."""
+exploration, the sweep, and the stall probe."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from multistack.checker import check_linearizable, check_set_linearizable
+import multistack.simulator as simulator
+from multistack.checker import CheckOutcome, check_linearizable, check_set_linearizable
 from multistack.elements import EMPTY, Element
 from multistack.history import EventKind, OpName, dumps
 from multistack.simulator import (
@@ -17,18 +18,18 @@ from multistack.simulator import (
     Run,
     Scenario,
     ScheduleError,
-    SimConfig,
     SimulationInvariantError,
-    config_key,
+    all_program_mixes,
     explore,
     load_bundled_fixture,
-    memory_of,
     parse_fixture,
     probe_budget,
     progress_probe,
     prologue_events,
+    reachable_configs,
     replay_scenario,
-    thread_enabled,
+    sweep,
+    sweep_family,
 )
 from multistack.spec_machine import ClassKind
 from support import seq_column
@@ -51,7 +52,13 @@ def run_schedule(scenario: Scenario, entries):
     events = []
     for entry in entries:
         run.take(entry - 1, events)
-    return run.config(), events
+    return run, events
+
+
+def links(run: Run):
+    """Every node the run made, in the order made, as (element, element its
+    next link points at, deletion flag)."""
+    return [(n.element, None if n.next is None else n.next.element, n.elim) for n in run.nodes]
 
 
 def shapes(events):
@@ -59,7 +66,7 @@ def shapes(events):
 
 
 # ---------------------------------------------------------------------------
-# Planned operations and configurations
+# Planned operations and run keys
 # ---------------------------------------------------------------------------
 
 
@@ -75,14 +82,14 @@ def test_initial_config_chains_seeded_memory():
         1, 1, memory=((Element(17, 1), False), (Element(11, 2), True), (Element(7, 3), False))
     )
     run = Run(scenario)
-    config = run.config()
-    assert config.top == Element(7, 3)
-    assert config.nodes == (
+    _, top, _ = run.key()
+    assert top == Element(7, 3)
+    assert links(run) == [
         (Element(17, 1), None, False),
         (Element(11, 2), Element(17, 1), True),
         (Element(7, 3), Element(11, 2), False),
-    )
-    assert memory_of(config) == [
+    ]
+    assert run.stack.memory_snapshot() == [
         (Element(17, 1), False),
         (Element(11, 2), True),
         (Element(7, 3), False),
@@ -91,8 +98,8 @@ def test_initial_config_chains_seeded_memory():
 
 
 def test_empty_initial_memory_has_no_top():
-    config = Run(pop_only_scenario(1, 1)).config()
-    assert config.top is None and config.nodes == ()
+    run = Run(pop_only_scenario(1, 1))
+    assert run.key()[:2] == (frozenset(), None) and run.nodes == []
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +120,13 @@ def test_pop_on_empty_is_one_slot():
     ]
     assert seq_column(events) == list(range(8))
     assert [e.process for e in events] == [1] * 4 + [2] * 4
-    assert run.config().threads == ((None, 1, ()), (None, 1, ()))
+    assert run.key()[2] == ((None, 1, ()), (None, 1, ()))
     assert not run.enabled()
 
 
 def test_uncontended_pop_takes_four_slots():
     scenario = pop_only_scenario(1, 1, memory=((Element(13, 1), False),))
-    config, events = run_schedule(scenario, [1, 1, 1, 1])
+    run, events = run_schedule(scenario, [1, 1, 1, 1])
     assert shapes(events) == [
         (EventKind.INVOCATION, None),
         (EventKind.STEP, 16),
@@ -129,16 +136,17 @@ def test_uncontended_pop_takes_four_slots():
         (EventKind.STEP, 22),
         (EventKind.RESPONSE, Element(13, 1)),
     ]
-    assert config.top is None
-    assert config.nodes == ((Element(13, 1), None, True),)
+    assert run.key()[1] is None
+    assert links(run) == [(Element(13, 1), None, True)]
 
 
 def test_uncontended_push_takes_three_slots():
     element = Element(9, 1)
     scenario = Scenario(programs=((PlannedOp(1, OpName.PUSH, element),),))
     # Paused before its swing, the thread holds its node and the top it read.
-    assert run_schedule(scenario, [1, 1])[0].threads == ((6, 0, (("node", element), ("t", None))),)
-    config, events = run_schedule(scenario, [1, 1, 1])
+    paused, _ = run_schedule(scenario, [1, 1])
+    assert paused.key()[2] == ((6, 0, (("node", element), ("t", None))),)
+    run, events = run_schedule(scenario, [1, 1, 1])
     assert shapes(events) == [
         (EventKind.INVOCATION, element),
         (EventKind.STEP, 3),
@@ -146,7 +154,7 @@ def test_uncontended_push_takes_three_slots():
         (EventKind.STEP, 6),
         (EventKind.RESPONSE, True),
     ]
-    assert memory_of(config) == [(element, False)]
+    assert run.stack.memory_snapshot() == [(element, False)]
 
 
 def test_push_over_deleted_top_helps_first():
@@ -155,20 +163,20 @@ def test_push_over_deleted_top_helps_first():
         initial_memory=((Element(5, 1), True),),
         programs=((PlannedOp(3, OpName.PUSH, element),),),
     )
-    config, events = run_schedule(scenario, [1] * 6)
+    run, events = run_schedule(scenario, [1] * 6)
     lines = [e.payload for e in events if e.kind is EventKind.STEP]
     assert lines == [3, 4, 10, 3, 4, 6]
     # The helped-past node is unreachable; only the new element remains.
-    assert memory_of(config) == [(element, False)]
+    assert run.stack.memory_snapshot() == [(element, False)]
 
 
 def test_pop_over_deleted_top_helps_then_sees_empty():
     scenario = pop_only_scenario(1, 1, memory=((Element(5, 1), True),))
-    config, events = run_schedule(scenario, [1] * 4)
+    run, events = run_schedule(scenario, [1] * 4)
     lines = [e.payload for e in events if e.kind is EventKind.STEP]
     assert lines == [16, 17, 20, 25, 16, 17]
     assert events[-1].payload is EMPTY
-    assert config.top is None
+    assert run.key()[1] is None
 
 
 def test_losing_push_retries_with_the_same_node():
@@ -181,13 +189,13 @@ def test_losing_push_retries_with_the_same_node():
     )
     # Both read top, thread 1 swings first; thread 2's swing fails and it
     # goes around again.
-    config, events = run_schedule(scenario, [1, 2, 1, 2, 1, 2, 2, 2, 2])
+    run, events = run_schedule(scenario, [1, 2, 1, 2, 1, 2, 2, 2, 2])
     t2_lines = [
         e.payload for e in events if e.process == 2 and e.kind is EventKind.STEP
     ]
     assert t2_lines == [3, 4, 6, 3, 4, 6]
-    assert memory_of(config) == [(a, False), (b, False)]
-    assert len(config.nodes) == 2  # retry reuses the allocated node
+    assert run.stack.memory_snapshot() == [(a, False), (b, False)]
+    assert len(run.nodes) == 2  # retry reuses the allocated node
 
 
 def test_schedule_errors():
@@ -198,7 +206,7 @@ def test_schedule_errors():
     run.take(0)
     with pytest.raises(ScheduleError):
         run.take(0)
-    assert not thread_enabled(scenario, run.config(), 0)
+    assert 0 not in run.enabled()
 
 
 def test_replayed_prefixes_reject_bad_entries_like_new_slots():
@@ -300,7 +308,7 @@ def test_replay_is_deterministic():
     first = replay_scenario(scenario)
     second = replay_scenario(scenario)
     assert dumps(first.history) == dumps(second.history)
-    assert first.config == second.config
+    assert Run(scenario, scenario.schedule).key() == Run(scenario, scenario.schedule).key()
 
 
 def test_replayed_history_is_self_contained_for_the_checker():
@@ -466,25 +474,63 @@ def test_reachable_configs_match_schedule_prefixes():
             )
         ),
     ]
-    from multistack.simulator import reachable_configs
-
     for scenario in scenarios:
         via_prefixes = set()
         for explored in explore(scenario):
             run = Run(scenario)
-            via_prefixes.add(config_key(run.config()))
+            via_prefixes.add(run.key())
             for entry in explored.schedule:
                 run.take(entry - 1)
-                via_prefixes.add(config_key(run.config()))
-        via_walk = {config_key(c) for c in reachable_configs(scenario)}
+                via_prefixes.add(run.key())
+        schedules = list(reachable_configs(scenario))
+        via_walk = {Run(scenario, schedule).key() for schedule in schedules}
         assert via_walk == via_prefixes
+        assert len(via_walk) == len(schedules)  # each configuration once
 
 
 def test_reachable_configs_counts_a_straight_line_run():
-    from multistack.simulator import reachable_configs
-
     scenario = Scenario(programs=((PlannedOp(1, OpName.PUSH, Element(1, 1)),),))
     assert len(list(reachable_configs(scenario))) == 4  # idle, 3, 4, done
+
+
+# ---------------------------------------------------------------------------
+# Sweep
+# ---------------------------------------------------------------------------
+
+
+def inv_res(history):
+    return tuple(e for e in history.events if e.kind is not EventKind.STEP)
+
+
+def test_sweep_judges_each_distinct_history_once(monkeypatch):
+    judged = []
+
+    def counting(history, **kwargs):
+        judged.append(inv_res(history))
+        return check_set_linearizable(history, **kwargs)
+
+    monkeypatch.setattr(simulator, "check_set_linearizable", counting)
+    result = sweep_family(2, 1)
+    distinct = {
+        inv_res(run.history)
+        for programs in all_program_mixes(2, 1)
+        for run in explore(Scenario(programs=programs))
+    }
+    assert (result.runs, len(judged), len(distinct)) == (30, 14, 14)
+    assert set(judged) == distinct
+    assert result.accepted == 30
+
+
+def test_sweep_caps_the_checker_at_the_scenario_operation_count():
+    # 16 seeded pushes and one planned pop: 17 operations, one over the
+    # checker's default cap, so a cap of 16 or of the planned op alone
+    # would leave the run undecided.
+    memory = tuple((Element(value, value), False) for value in range(1, 17))
+    scenario = pop_only_scenario(1, 1, memory=memory)
+    result = sweep([scenario])
+    assert (result.runs, result.accepted, result.rejected) == (1, 1, ())
+    (run,) = explore(scenario)
+    assert check_set_linearizable(run.history).outcome is CheckOutcome.UNDECIDED
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +538,20 @@ def test_reachable_configs_counts_a_straight_line_run():
 # ---------------------------------------------------------------------------
 
 
-def freeze_point(scenario: Scenario, entries) -> SimConfig:
-    return Run(scenario, entries).config()
-
-
 def test_probe_completes_around_a_thread_frozen_before_its_write():
     scenario = pop_only_scenario(2, 1, memory=((Element(13, 1), False),))
-    config = freeze_point(scenario, [1, 1])  # thread 1 parked before line 21
-    report = progress_probe(scenario, config, stalled=0, budget=probe_budget(config))
+    schedule = (1, 1)  # thread 1 parked before line 21
+    budget = probe_budget(Run(scenario, schedule))
+    report = progress_probe(scenario, schedule, stalled=0, budget=budget)
     assert report.all_completed
     assert report.steps_used == ((1, 4),)
 
 
 def test_probe_completes_around_a_thread_frozen_after_its_write():
     scenario = pop_only_scenario(2, 1, memory=((Element(13, 1), False),))
-    config = freeze_point(scenario, [1, 1, 1])  # flag set, swing not taken
-    report = progress_probe(scenario, config, stalled=0, budget=probe_budget(config))
+    schedule = (1, 1, 1)  # flag set, swing not taken
+    budget = probe_budget(Run(scenario, schedule))
+    report = progress_probe(scenario, schedule, stalled=0, budget=budget)
     assert report.all_completed
     # The other pop finds the flag set, helps, and reports empty.
     assert report.steps_used == ((1, 4),)
@@ -515,16 +559,14 @@ def test_probe_completes_around_a_thread_frozen_after_its_write():
 
 def test_probe_reports_a_missed_budget():
     scenario = pop_only_scenario(2, 1, memory=((Element(13, 1), False),))
-    config = Run(scenario).config()
-    report = progress_probe(scenario, config, stalled=0, budget=0)
+    report = progress_probe(scenario, (), stalled=0, budget=0)
     assert report.failures == (1,)
     assert not report.all_completed
 
 
 def test_probe_ignores_finished_threads():
     scenario = pop_only_scenario(2, 1)
-    config = freeze_point(scenario, [2])  # thread 2 already done
-    report = progress_probe(scenario, config, stalled=0, budget=5)
+    report = progress_probe(scenario, (2,), stalled=0, budget=5)  # thread 2 already done
     assert report.steps_used == () and report.all_completed
 
 
@@ -532,6 +574,5 @@ def test_probe_budget_counts_every_reachable_node():
     scenario = pop_only_scenario(
         1, 1, memory=((Element(1, 1), False), (Element(2, 2), True))
     )
-    config = Run(scenario).config()
-    assert probe_budget(config) == 6 * 3  # deleted nodes cost help rounds too
-    assert probe_budget(Run(pop_only_scenario(1, 1)).config()) == 6
+    assert probe_budget(Run(scenario)) == 6 * 3  # deleted nodes cost help rounds too
+    assert probe_budget(Run(pop_only_scenario(1, 1))) == 6
