@@ -14,7 +14,9 @@ of pops by returned id is the only candidate.  That makes several
 rejections structural (no search needed): pops sharing an id that do not
 pairwise overlap, a popped id nobody pushed, or two pushes claiming one
 id.  Both checks build their classes there, so whatever the linearizable
-check accepts, the set-linearizable check accepts too.
+check accepts, the set-linearizable check accepts too.  Grouping reads
+the records twice: one pass checks every result's shape and indexes the
+pushes, the other builds the classes, singletons directly.
 
 Precedence comes from three integers per class, its first invocation,
 last invocation and first response: class k precedes class i exactly when
@@ -29,9 +31,11 @@ Each frame takes its ready window from its parent's and is memoized, when
 dead, by (state, window), so a frame costs about the window's width.  A
 rejection words its deepest attempt's refusals by the model itself
 (apply_class on the rebuilt state).  Accepted verdicts carry the witness
-ordering, which is independently replayed through the model and
-re-verified before being returned; histories with more complete operations
-than the size cap come back undecided rather than silently truncated.
+ordering, which is re-verified before being returned: one pass replays
+it through the model, and one pass from its back checks that it places
+every operation exactly once and respects real-time precedence.
+Histories with more complete operations than the size cap come back
+undecided rather than silently truncated.
 """
 
 from __future__ import annotations
@@ -53,13 +57,15 @@ from .spec_machine import (
     ConcurrencyClass,
     TransitionError,
     apply_class,
-    pop_empty_class,
     pop_group_class,
-    push_class,
     replay,
 )
 
 DEFAULT_MAX_OPS = 16
+
+# Module-level names: a global load is cheaper than an Enum class lookup.
+_PUSH_OP = OpName.PUSH
+_PUSH, _POP_EMPTY, _POP_GROUP = ClassKind
 
 
 class StructuralRefutation(Exception):
@@ -87,21 +93,6 @@ class Verdict(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _check_result_shapes(records: Sequence[OperationRecord]) -> None:
-    for record in records:
-        if record.name is OpName.PUSH:
-            if record.result is not True:
-                raise StructuralRefutation(
-                    f"push op {record.op_id} returned "
-                    f"{format_payload(record.result)} instead of true"
-                )
-        else:
-            if not isinstance(record.result, (Element, _Empty)):
-                raise StructuralRefutation(
-                    f"pop op {record.op_id} returned neither an element nor empty"
-                )
-
-
 def group_classes(
     records: Sequence[OperationRecord], shared: bool = True
 ) -> list[ConcurrencyClass]:
@@ -109,44 +100,58 @@ def group_classes(
 
     Pops returning the same push id form one class; with shared=False every
     pop is alone in its class.  Raises StructuralRefutation when no stack
-    execution could have produced the records: duplicate push ids, a popped
-    id that was never pushed, a popped value disagreeing with its push, or
-    same-id pops that do not pairwise overlap.
+    execution could have produced the records, naming the first of these
+    faults: a result of the wrong shape (in record order), a duplicate push
+    id, a popped id that was never pushed or a popped value disagreeing
+    with its push (in record order), same-id pops that do not pairwise
+    overlap.  One pass checks the shapes and indexes the pushes, keeping
+    the first duplicate until every shape has passed; a second builds the
+    classes.  Singleton classes are built directly: they cannot repeat an
+    op id, and the first pass has checked their elements.
     """
-    if any(not r.complete for r in records):
+    if any(r.responded_at is None for r in records):
         raise ValueError("grouping expects pending operations to be dropped first")
-    _check_result_shapes(records)
 
     pushes_by_id: dict[int, OperationRecord] = {}
+    duplicate = None  # the first push of an id an earlier push holds
     for record in records:
-        if record.name is OpName.PUSH:
-            assert isinstance(record.argument, Element)
-            previous = pushes_by_id.get(record.argument.push_id)
-            if previous is not None:
+        if record.name is _PUSH_OP:
+            if record.result is not True:
                 raise StructuralRefutation(
-                    f"ops {previous.op_id} and {record.op_id} both pushed "
-                    f"id #{record.argument.push_id}"
+                    f"push op {record.op_id} returned "
+                    f"{format_payload(record.result)} instead of true"
                 )
-            pushes_by_id[record.argument.push_id] = record
+            push_id = record.argument.push_id
+            if push_id not in pushes_by_id:
+                pushes_by_id[push_id] = record
+            elif duplicate is None:
+                duplicate = record
+        elif not isinstance(record.result, (Element, _Empty)):
+            raise StructuralRefutation(
+                f"pop op {record.op_id} returned neither an element nor empty"
+            )
+    if duplicate is not None:
+        push_id = duplicate.argument.push_id
+        raise StructuralRefutation(
+            f"ops {pushes_by_id[push_id].op_id} and {duplicate.op_id} both pushed "
+            f"id #{push_id}"
+        )
 
     classes: list[ConcurrencyClass] = []
     shared_pops: dict[int, list[OperationRecord]] = {}
     for record in records:
-        if record.name is OpName.PUSH:
-            assert isinstance(record.argument, Element)
-            classes.append(push_class(record.op_id, record.argument))
-        elif isinstance(record.result, _Empty):
-            classes.append(pop_empty_class(record.op_id))
+        returned = record.result
+        if record.name is _PUSH_OP:
+            classes.append(ConcurrencyClass(_PUSH, (record.op_id,), record.argument))
+        elif returned is EMPTY:
+            classes.append(ConcurrencyClass(_POP_EMPTY, (record.op_id,), None))
         else:
-            assert isinstance(record.result, Element)
-            returned = record.result
             push = pushes_by_id.get(returned.push_id)
             if push is None:
                 raise StructuralRefutation(
                     f"op {record.op_id} popped {returned} but no push produced "
                     f"id #{returned.push_id}"
                 )
-            assert isinstance(push.argument, Element)
             if push.argument != returned:
                 raise StructuralRefutation(
                     f"op {record.op_id} popped {returned} but op {push.op_id} "
@@ -156,6 +161,10 @@ def group_classes(
             shared_pops.setdefault(key, []).append(record)
 
     for push_id, members in sorted(shared_pops.items()):
+        first = members[0]
+        if len(members) == 1:
+            classes.append(ConcurrencyClass(_POP_GROUP, (first.op_id,), first.result))
+            continue
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 if not concurrent(a, b):
@@ -163,9 +172,7 @@ def group_classes(
                         f"ops {a.op_id} and {b.op_id} both popped id #{push_id} "
                         "but do not overlap in real time"
                     )
-        element = members[0].result
-        assert isinstance(element, Element)
-        classes.append(pop_group_class([m.op_id for m in members], element))
+        classes.append(pop_group_class([m.op_id for m in members], first.result))
     return classes
 
 
@@ -203,7 +210,9 @@ def _search(
         assert last < responded, f"class {cls.op_ids} is not concurrent"
         spans.append((first, last, responded, cls))
     # Deterministic witnesses: try ready classes by earliest member invocation.
-    spans.sort(key=lambda span: span[0])
+    # First invocations are distinct event positions, so no two spans tie
+    # there and the sort never compares classes.
+    spans.sort()
     first_inv, last_inv, first_res, ordered = zip(*spans)
     below = [0]  # state id -> id of the state under its top
     tops: list[Optional[Element]] = [None]  # state id -> element on top
@@ -294,19 +303,35 @@ def _search(
 def _verify_witness(
     order: Sequence[ConcurrencyClass], records: Sequence[OperationRecord]
 ) -> None:
-    """Independent re-check of a found witness; a failure here is a checker bug."""
+    """Independent re-check of a found witness; a failure here is a checker bug.
+
+    Three checks, each one pass: the order replays through the model, it
+    places every operation exactly once, and no class is invoked after a
+    class placed later has responded.  The last two share a pass from the
+    back of the order; a precedence failure is raised after the cover has
+    passed, so a witness failing both is refused for its cover.
+    """
     verdict = replay(order)
     if not verdict.accepted:
         raise AssertionError(f"witness does not replay: {verdict.reason}")
-    covered = sorted(op for cls in order for op in cls.op_ids)
-    if covered != sorted(r.op_id for r in records):
-        raise AssertionError("witness does not cover the operations exactly once")
-    by_id = {r.op_id: r for r in records}
+    unplaced = {r.op_id: r for r in records}
     later_first_res = float("inf")  # earliest response among classes placed later
+    disordered = False
     for cls in reversed(order):
-        if later_first_res < max(by_id[op].invoked_at for op in cls.op_ids):
-            raise AssertionError("witness order contradicts real-time precedence")
-        later_first_res = min(later_first_res, *(by_id[op].responded_at for op in cls.op_ids))
+        first_res = later_first_res
+        for op in cls.op_ids:
+            record = unplaced.pop(op, None)
+            if record is None:
+                raise AssertionError("witness does not cover the operations exactly once")
+            if record.invoked_at > later_first_res:
+                disordered = True
+            if record.responded_at < first_res:
+                first_res = record.responded_at
+        later_first_res = first_res
+    if unplaced:
+        raise AssertionError("witness does not cover the operations exactly once")
+    if disordered:
+        raise AssertionError("witness order contradicts real-time precedence")
 
 
 def _check(history: History, shared: bool, max_ops: int) -> Verdict:

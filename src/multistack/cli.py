@@ -146,7 +146,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         f"threads={args.threads} ops_per_thread={args.ops} "
         f"mixes={len(sweep.mixes)} interleavings={sweep.runs} "
         f"setlin_accepted={sweep.accepted} setlin_rejected={len(sweep.rejected)} "
-        f"shared_return={sweep.shared} shared_lin_rejected={sweep.shared_lin_rejected}"
+        f"shared_return={sweep.shared} shared_lin_rejected={sweep.shared_lin_rejected} "
+        f"distinct_histories={sweep.distinct_histories}"
     )
     for schedule, refutation in sweep.rejected[:5]:
         print(f"REJECTED schedule {schedule}: {refutation}")

@@ -86,13 +86,14 @@ def drive(
     nothing is in flight.  With a recorder, thread i records as process
     i+1 and numbers its operations i+1, i+1+T, i+1+2T, ..., so the op ids
     are 1..total_ops, each used once, and no thread waits for another to
-    get one.  The recorder takes no lock either, and each thread counts
-    its stack's trace calls per line in a Counter of its own; drive sums
-    them after the join.  Without a recorder nothing is traced.
+    get one.  The recorder takes no lock either, and each thread's stack
+    traces into a list of its own by that list's append, so a traced line
+    costs no Python frame; drive counts the lines of all the lists after
+    the join.  Without a recorder nothing is traced.
     """
     plans = config.plans()
     results: list[list[object]] = [[] for _ in plans]
-    steps: list[Counter[int]] = [Counter() for _ in plans]
+    lines: list[list[int]] = [[] for _ in plans]  # per thread: each line traced
     failures: list[BaseException] = []
     barrier = threading.Barrier(len(plans) + 1)
     recording = recorder is not None
@@ -105,11 +106,7 @@ def drive(
         trace = None
         if recording:
             invocation, response = recorder.invocation, recorder.response
-            counts = steps[thread]
-
-            def trace(line: int) -> None:
-                counts[line] += 1
-
+            trace = lines[thread].append
         try:
             barrier.wait()
             for op_id, value in zip(itertools.count(process, len(plans)), plans[thread]):
@@ -153,7 +150,7 @@ def drive(
         [(OpName.POP if value is None else OpName.PUSH, kept) for value, kept in zip(plan, done)]
         for plan, done in zip(plans, results)
     ]
-    return outcomes, seconds, sum(steps, Counter())
+    return outcomes, seconds, Counter(itertools.chain.from_iterable(lines))
 
 
 # ---------------------------------------------------------------------------

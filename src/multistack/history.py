@@ -41,12 +41,12 @@ result is its push's Element, and validates each combination of KIND
 token, NAME token and payload type once.  A line it cannot build from
 those caches (a new combination, or a field that does not parse) takes
 its one fallback, parse_event, which accepts the line or words its first
-error in field order.
+error in field order.  history_shares_return reads the events up to the
+second response of one pushed element and no further.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -303,13 +303,15 @@ def concurrent(a: OperationRecord, b: OperationRecord) -> bool:
 
 
 def history_shares_return(history: History) -> bool:
-    """True when two responses return the same pushed element."""
-    counts = Counter(
-        event.payload.push_id
-        for event in history.events
-        if event.kind is EventKind.RESPONSE and isinstance(event.payload, Element)
-    )
-    return any(n > 1 for n in counts.values())
+    """True when two responses return the same pushed element; stops at
+    the second response of the first such element."""
+    returned: set[int] = set()
+    for event in history.events:
+        if event.kind is _RESPONSE and isinstance(event.payload, Element):
+            if event.payload.push_id in returned:
+                return True
+            returned.add(event.payload.push_id)
+    return False
 
 
 # ---------------------------------------------------------------------------

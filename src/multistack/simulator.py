@@ -379,6 +379,7 @@ class FamilySweep(NamedTuple):
     shared: int  # runs in which two pops return one element
     shared_lin_rejected: int  # of those, the runs plain linearizability rejects
     rejected: tuple[tuple[tuple[int, ...], str], ...]  # (schedule, refutation), set-lin
+    distinct_histories: int  # distinct INV/RES histories, each judged once
 
     @property
     def runs(self) -> int:
@@ -418,7 +419,9 @@ def sweep(scenarios: Iterable[Scenario]) -> FamilySweep:
             shared += shares
             shared_lin_rejected += lin_rejected
         mixes.append((scenario.programs, runs))
-    return FamilySweep(tuple(mixes), accepted, shared, shared_lin_rejected, tuple(rejected))
+    return FamilySweep(
+        tuple(mixes), accepted, shared, shared_lin_rejected, tuple(rejected), len(verdicts)
+    )
 
 
 def sweep_family(threads: int, ops_per_thread: int) -> FamilySweep:

@@ -133,6 +133,55 @@ def test_grouping_requires_complete_records():
         group_classes(operations(history))
 
 
+def test_grouping_names_the_first_fault_in_a_fixed_order():
+    # Every fault at once, each placed so that raising on sight in record
+    # order would name a later kind first: a pending record, then bad result
+    # shapes in record order, then a duplicate push id, then pops of an
+    # unpushed or mismatched id in record order, then same-id pops that do
+    # not overlap.  Dropping the op named each time exposes the next fault.
+    script = [
+        ("inv", 1, 1, "pop"),
+        ("res", 1, 1, Element(9, 50)),  # nobody pushes id 50
+        ("inv", 1, 2, "push", E17),
+        ("res", 1, 2, True),
+        ("inv", 1, 3, "pop"),
+        ("res", 1, 3, Element(99, 1)),  # op 2 pushed 17 as id 1
+        ("inv", 1, 4, "push", Element(3, 1)),  # op 2 pushed id 1 already
+        ("res", 1, 4, True),
+        ("inv", 1, 5, "push", E11),
+        ("res", 1, 5, True),
+        ("inv", 1, 6, "pop"),
+        ("res", 1, 6, E11),
+        ("inv", 1, 7, "pop"),
+        ("res", 1, 7, E11),  # op 6 popped id 2 before op 7 began
+        ("inv", 1, 8, "push", E7),
+        ("res", 1, 8, EMPTY),
+        ("inv", 1, 9, "pop"),
+        ("res", 1, 9, True),
+        ("inv", 2, 10, "pop"),  # never responds
+    ]
+    steps = [
+        (10, ValueError, "grouping expects pending operations to be dropped first"),
+        (8, StructuralRefutation, "push op 8 returned empty instead of true"),
+        (9, StructuralRefutation, "pop op 9 returned neither an element nor empty"),
+        (4, StructuralRefutation, "ops 2 and 4 both pushed id #1"),
+        (1, StructuralRefutation, "op 1 popped v:9#50 but no push produced id #50"),
+        (3, StructuralRefutation, "op 3 popped v:99#1 but op 2 pushed v:17#1"),
+        (
+            7,
+            StructuralRefutation,
+            "ops 6 and 7 both popped id #2 but do not overlap in real time",
+        ),
+    ]
+    records = operations(build_history(script))
+    for op_id, error, message in steps:
+        with pytest.raises(error) as info:
+            group_classes(records)
+        assert (type(info.value), str(info.value)) == (error, message)
+        records = [r for r in records if r.op_id != op_id]
+    assert [c.op_ids for c in group_classes(records)] == [(2,), (5,), (6,)]
+
+
 # ---------------------------------------------------------------------------
 # Set-linearizability
 # ---------------------------------------------------------------------------

@@ -341,6 +341,46 @@ def test_history_shares_return():
             ("pop", 3, Element(5, 1)),
         )
     )
+    # The repeat is the history's last response, after other returns.
+    assert history_shares_return(
+        sequential_history(
+            ("push", 1, Element(5, 1)),
+            ("push", 2, Element(6, 2)),
+            ("pop", 3, Element(6, 2)),
+            ("pop", 4, Element(5, 1)),
+            ("pop", 5, EMPTY),
+            ("pop", 6, Element(5, 1)),
+        )
+    )
+    # EMPTY returned twice is no shared element.
+    assert not history_shares_return(sequential_history(("pop", 1, EMPTY), ("pop", 2, EMPTY)))
+    # A pending pop returns nothing, whatever its steps say.
+    assert not history_shares_return(
+        build_history(
+            [
+                ("inv", 1, 1, "push", Element(5, 1)),
+                ("res", 1, 1, True),
+                ("inv", 2, 2, "pop"),
+                ("step", 2, 2, 17),
+                ("inv", 1, 3, "pop"),
+                ("res", 1, 3, Element(5, 1)),
+            ]
+        )
+    )
+    # Steps between the two responses of one element.
+    shared = [
+        ("inv", 1, 1, "push", Element(5, 1)),
+        ("res", 1, 1, True),
+        ("inv", 1, 2, "pop"),
+        ("inv", 2, 3, "pop"),
+        ("step", 1, 2, 17),
+        ("res", 1, 2, Element(5, 1)),
+        ("step", 2, 3, 17),
+        ("step", 2, 3, 20),
+        ("res", 2, 3, Element(5, 1)),
+    ]
+    assert history_shares_return(build_history(shared))
+    assert not history_shares_return(build_history(shared[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +671,7 @@ def test_explore_summary(capsys):
     assert "mixes=4" in captured
     assert "setlin_rejected=0" in captured
     assert "shared_return=0" in captured  # one pop per thread cannot share
+    assert "distinct_histories=14\n" in captured
 
 
 def test_explore_verbose_lists_mixes(capsys):

@@ -517,6 +517,7 @@ def test_sweep_judges_each_distinct_history_once(monkeypatch):
         for run in explore(Scenario(programs=programs))
     }
     assert (result.runs, len(judged), len(distinct)) == (30, 14, 14)
+    assert result.distinct_histories == len(judged)
     assert set(judged) == distinct
     assert result.accepted == 30
 
