@@ -25,6 +25,10 @@ and immediately popping the ones seeded as deleted.  The prologue makes
 the emitted history self-contained, so the checker can consume it
 without being told about the seed.
 
+plan numbers every scenario one way: seeded elements take push ids 1..k
+and pushes the next ones; the prologue's operations (one per seeded node,
+two per deleted one) take the first op ids and the planned ones the rest.
+
 Every newly taken slot reads the checked stack's invariant violations:
 its guarded nodes record a deletion flag going back to False, and it
 walks its chain from the top for a cycle.  Either raises
@@ -221,28 +225,50 @@ class Run:
 
 
 # ---------------------------------------------------------------------------
-# Provenance prologue
+# Provenance prologue and numbering
 # ---------------------------------------------------------------------------
+
+
+def _prologue_ops(memory: Iterable[tuple[Element, bool]]) -> list[tuple]:
+    """The prologue's operations in order, as (name, argument, result):
+    push every seeded element in depth order, and pop each one seeded as
+    deleted right after its push, while it is still on top."""
+    ops = []
+    for element, deleted in memory:
+        ops.append((OpName.PUSH, element, True))
+        if deleted:
+            ops.append((OpName.POP, None, element))
+    return ops
 
 
 def prologue_events(scenario: Scenario) -> list[Event]:
     """A sequential history (process 0) that legitimately builds the seeded
-    memory: push every seeded element in depth order, and pop each one
-    seeded as deleted right after its push, while it is still on top."""
+    memory, one operation after another, numbered from 1."""
     events: list[Event] = []
-    op_id = 0
-
-    def op(name: OpName, inv_payload: Payload, res_payload: Payload) -> None:
-        nonlocal op_id
-        op_id += 1
-        events.append(Event(0, op_id, EventKind.INVOCATION, name, inv_payload))
-        events.append(Event(0, op_id, EventKind.RESPONSE, name, res_payload))
-
-    for element, elim in scenario.initial_memory:
-        op(OpName.PUSH, element, True)
-        if elim:
-            op(OpName.POP, None, element)
+    for op_id, (name, argument, result) in enumerate(_prologue_ops(scenario.initial_memory), 1):
+        events.append(Event(0, op_id, EventKind.INVOCATION, name, argument))
+        events.append(Event(0, op_id, EventKind.RESPONSE, name, result))
     return events
+
+
+def plan(memory: Iterable[tuple[int, bool]], ops: Iterable[tuple], **clauses) -> Scenario:
+    """The scenario that seeds memory's (value, deleted) pairs, deepest
+    first, and runs ops, each (1-based thread, value to push or None for a
+    pop), numbered in the order given; clauses are its schedule and EXPECT
+    fields."""
+    initial = tuple(
+        (Element(value, push_id), deleted) for push_id, (value, deleted) in enumerate(memory, 1)
+    )
+    push_ids = itertools.count(len(initial) + 1)
+    programs: list[list[PlannedOp]] = []
+    for op_id, (thread, value) in enumerate(ops, len(_prologue_ops(initial)) + 1):
+        programs.extend([] for _ in range(thread - len(programs)))
+        if value is None:
+            programs[thread - 1].append(PlannedOp(op_id, OpName.POP))
+        else:
+            element = Element(value, next(push_ids))
+            programs[thread - 1].append(PlannedOp(op_id, OpName.PUSH, element))
+    return Scenario(initial, tuple(map(tuple, programs)), **clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +374,15 @@ def explore(scenario: Scenario, max_steps: int = 500) -> Iterator[ExploredRun]:
 def all_program_mixes(
     threads: int, ops_per_thread: int
 ) -> list[tuple[tuple[PlannedOp, ...], ...]]:
-    """Every assignment of push/pop to the threads' program slots.  Push
-    values (and ids) are numbered per mix in thread-major order."""
+    """Every assignment of push/pop to the threads' program slots, planned
+    in thread-major order; the k-th push of a mix pushes k."""
     mixes = []
-    slots = threads * ops_per_thread
-    for bits in itertools.product((OpName.PUSH, OpName.POP), repeat=slots):
-        programs = []
-        op_id = 0
-        value = 0
-        for thread in range(threads):
-            program = []
-            for position in range(ops_per_thread):
-                name = bits[thread * ops_per_thread + position]
-                op_id += 1
-                if name is OpName.PUSH:
-                    value += 1
-                    program.append(PlannedOp(op_id, name, Element(value, value)))
-                else:
-                    program.append(PlannedOp(op_id, name))
-            programs.append(tuple(program))
-        mixes.append(tuple(programs))
+    for bits in itertools.product((True, False), repeat=threads * ops_per_thread):
+        pushes = itertools.count(1)
+        ops = [
+            (i // ops_per_thread + 1, next(pushes) if push else None) for i, push in enumerate(bits)
+        ]
+        mixes.append(plan((), ops).programs)
     return mixes
 
 
@@ -391,25 +406,26 @@ def sweep(scenarios: Iterable[Scenario]) -> FamilySweep:
     set-linearizable, with the checker capped at the scenario's operation
     count, the prologue's included (every run completes them all), and,
     when two pops return the same element, re-checked for plain
-    linearizability.  The verdicts read only a run's invocations and
-    responses, so each distinct sequence of them is judged once; every run
-    is still explored, checked slot by slot and counted."""
+    linearizability.  Each distinct sequence of a run's invocations and
+    responses is judged once, as a history of its own; every run is still
+    explored, checked slot by slot and counted."""
     verdicts: dict = {}  # INV/RES events -> (set-lin verdict, shares a return, lin rejects)
     mixes = []
     accepted = shared = shared_lin_rejected = 0
     rejected = []
     for scenario in scenarios:
-        max_ops = len(prologue_events(scenario)) // 2 + sum(map(len, scenario.programs))
+        max_ops = len(_prologue_ops(scenario.initial_memory)) + sum(map(len, scenario.programs))
         runs = 0
         for run in explore(scenario):
             runs += 1
             key = tuple(e for e in run.history.events if e.kind is not EventKind.STEP)
             if key not in verdicts:
-                shares = history_shares_return(run.history)
+                history = History(key)
+                shares = history_shares_return(history)
                 verdicts[key] = (
-                    check_set_linearizable(run.history, max_ops=max_ops),
+                    check_set_linearizable(history, max_ops=max_ops),
                     shares,
-                    shares and not check_linearizable(run.history, max_ops=max_ops).accepted,
+                    shares and not check_linearizable(history, max_ops=max_ops).accepted,
                 )
             verdict, shares, lin_rejected = verdicts[key]
             if verdict.accepted:
@@ -524,16 +540,12 @@ def parse_fixture(text: str) -> Scenario:
         EXPECT MEMORY (17,F) (8,F)
 
     INIT, SCHED and each EXPECT clause may appear once.  '#' starts a
-    comment; blank lines are ignored.  Element ids are minted
-    deterministically: seeded elements first (deepest first), then pushed
-    values in line order."""
+    comment; blank lines are ignored.  Op and push ids are plan's, the OP
+    lines taken in line order."""
     initial: Optional[list[tuple[int, bool]]] = None
     ops: list[tuple[int, int, Optional[int]]] = []  # (lineno, thread, value|None)
     schedule: Optional[tuple[int, ...]] = None
-    expect_returns = None
-    expect_logical = None
-    expect_memory = None
-    seen_clauses: set[str] = set()
+    expect: dict[str, tuple] = {}  # EXPECT clause -> its values
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -569,24 +581,19 @@ def parse_fixture(text: str) -> Scenario:
             if len(fields) < 2:
                 raise FixtureFormatError(lineno, "EXPECT needs a clause")
             clause = fields[1]
-            if clause in seen_clauses:
+            if clause in expect:
                 raise FixtureFormatError(lineno, f"EXPECT {clause} given twice")
-            seen_clauses.add(clause)
             if clause == "RETURNS":
-                expect_returns = tuple(_parse_expectation(tok, lineno) for tok in fields[2:])
+                expect[clause] = tuple(_parse_expectation(tok, lineno) for tok in fields[2:])
             elif clause == "LOGICAL":
-                expect_logical = tuple(
-                    _parse_int(tok, lineno, "value") for tok in fields[2:]
-                )
+                expect[clause] = tuple(_parse_int(tok, lineno, "value") for tok in fields[2:])
             elif clause == "MEMORY":
-                expect_memory = tuple(_parse_memory_pair(tok, lineno) for tok in fields[2:])
+                expect[clause] = tuple(_parse_memory_pair(tok, lineno) for tok in fields[2:])
             else:
                 raise FixtureFormatError(lineno, f"unknown EXPECT clause {clause!r}")
         else:
             raise FixtureFormatError(lineno, f"unknown keyword {keyword!r}")
 
-    if initial is None:
-        initial = []
     if not ops:
         raise FixtureFormatError(None, "fixture plans no operations")
 
@@ -594,30 +601,14 @@ def parse_fixture(text: str) -> Scenario:
     for lineno, thread, _ in ops:  # blame the first OP line above a missing thread
         if not planned.issuperset(range(1, thread)):
             raise FixtureFormatError(lineno, "threads must be numbered 1..n without gaps")
-    thread_count = max(planned)
 
-    next_id = 1
-    memory = []
-    for value, elim in initial:
-        memory.append((Element(value, next_id), elim))
-        next_id += 1
-    op_id = sum(2 if elim else 1 for _, elim in memory)  # prologue ops come first
-    programs: list[list[PlannedOp]] = [[] for _ in range(thread_count)]
-    for _, thread, value in ops:
-        op_id += 1
-        if value is None:
-            programs[thread - 1].append(PlannedOp(op_id, OpName.POP))
-        else:
-            programs[thread - 1].append(PlannedOp(op_id, OpName.PUSH, Element(value, next_id)))
-            next_id += 1
-
-    return Scenario(
-        initial_memory=tuple(memory),
-        programs=tuple(tuple(p) for p in programs),
+    return plan(
+        initial or (),
+        [(thread, value) for _, thread, value in ops],
         schedule=schedule,
-        expect_returns=expect_returns,
-        expect_logical=expect_logical,
-        expect_memory=expect_memory,
+        expect_returns=expect.get("RETURNS"),
+        expect_logical=expect.get("LOGICAL"),
+        expect_memory=expect.get("MEMORY"),
     )
 
 

@@ -54,8 +54,11 @@ class ConcurrencyClass(NamedTuple):
     element     the pushed element (PUSH) or the shared return (POP_GROUP);
                 None for POP_EMPTY
 
-    Build classes with push_class, pop_empty_class and pop_group_class,
-    which reject structurally invalid ones with MalformedClassError.
+    push_class, pop_empty_class and pop_group_class build classes and
+    reject structurally invalid ones with MalformedClassError.  The checker
+    builds push, empty-pop and singleton-pop classes directly, from records
+    its grouping pass has already checked, and sends only multi-member pop
+    groups through pop_group_class.
     """
 
     kind: ClassKind

@@ -13,12 +13,12 @@ structure is spelled out directly by interleaving inv/res entries.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional
 
 from multistack.elements import EMPTY, Element
 from multistack.history import Event, EventKind, History, OpName, dumps
-from multistack.simulator import PlannedOp, Run, Scenario
+from multistack.simulator import Run, plan
 
 
 def seq_column(events) -> list[int]:
@@ -137,26 +137,14 @@ def random_simulated_history(rng: random.Random, max_ops: int = 8) -> History:
     """A history the relaxed stack really can produce: random small programs
     driven through the deterministic interpreter under a random schedule."""
     threads = rng.randint(1, 3)
-    programs = []
-    op_id = 0
-    value = 0
-    total = 0
-    for _ in range(threads):
-        count = rng.randint(1, max(1, max_ops // threads))
-        program = []
-        for _ in range(count):
-            if total >= max_ops:
+    ops = []
+    pushes = itertools.count(1)  # the k-th push pushes k
+    for thread in range(1, threads + 1):
+        for _ in range(rng.randint(1, max(1, max_ops // threads))):
+            if len(ops) >= max_ops:
                 break
-            op_id += 1
-            total += 1
-            if rng.random() < 0.55:
-                value += 1
-                program.append(PlannedOp(op_id, OpName.PUSH, Element(value, value)))
-            else:
-                program.append(PlannedOp(op_id, OpName.POP))
-        programs.append(tuple(program))
-    scenario = Scenario(programs=tuple(programs))
-    run = Run(scenario)
+            ops.append((thread, next(pushes) if rng.random() < 0.55 else None))
+    run = Run(plan((), ops))
     events: list[Event] = []
     while enabled := run.enabled():
         run.take(rng.choice(enabled), events)

@@ -13,15 +13,8 @@ import threading
 
 import pytest
 
-from multistack.elements import Element
 from multistack.history import EventKind, OpName
-from multistack.simulator import (
-    PlannedOp,
-    Run,
-    Scenario,
-    load_bundled_fixture,
-    replay_scenario,
-)
+from multistack.simulator import Run, Scenario, load_bundled_fixture, plan, replay_scenario
 
 TIMEOUT = 5.0
 SCENARIOS = 400
@@ -97,24 +90,13 @@ def simulated(run: Run, events) -> tuple:
 
 
 def random_scenario(rng: random.Random) -> Scenario:
-    memory = tuple(
-        (Element(rng.randint(1, 9), push_id), rng.random() < 0.4)
-        for push_id in range(1, rng.randint(0, 3) + 1)
-    )
-    next_id = len(memory) + 1
-    op_id = sum(2 if deleted else 1 for _, deleted in memory)
-    programs = []
-    for _ in range(rng.randint(2, 3)):
-        program = []
-        for _ in range(rng.randint(1, 2)):
-            op_id += 1
-            if rng.random() < 0.5:
-                program.append(PlannedOp(op_id, OpName.PUSH, Element(rng.randint(1, 9), next_id)))
-                next_id += 1
-            else:
-                program.append(PlannedOp(op_id, OpName.POP))
-        programs.append(tuple(program))
-    return Scenario(initial_memory=memory, programs=tuple(programs))
+    memory = [(rng.randint(1, 9), rng.random() < 0.4) for _ in range(rng.randint(0, 3))]
+    ops = [
+        (thread, rng.randint(1, 9) if rng.random() < 0.5 else None)
+        for thread in range(1, rng.randint(2, 3) + 1)
+        for _ in range(rng.randint(1, 2))
+    ]
+    return plan(memory, ops)
 
 
 def test_fast_path_follows_the_generator_text_on_random_schedules():

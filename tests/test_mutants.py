@@ -16,11 +16,8 @@ from __future__ import annotations
 import pytest
 
 import multistack.simulator as simulator
-from multistack.elements import EMPTY, Element
-from multistack.history import OpName
-from multistack.simulator import ExplorationTruncated, PlannedOp, Scenario
-
-SEEDED = Element(1, 1)  # the prologue pushes it as op 1
+from multistack.elements import EMPTY
+from multistack.simulator import ExplorationTruncated, Scenario, plan
 
 
 # ---------------------------------------------------------------------------
@@ -84,30 +81,19 @@ def pop_noflagcheck(top):
 
 def two_pops_over_one_node() -> Scenario:
     """Two threads pop once each over one seeded node."""
-    return Scenario(
-        initial_memory=((SEEDED, False),),
-        programs=((PlannedOp(2, OpName.POP),), (PlannedOp(3, OpName.POP),)),
-    )
+    return plan([(1, False)], [(1, None), (2, None)])
 
 
 def push_onto_a_deleted_top() -> Scenario:
     """One push onto a seeded node that is already deleted."""
-    return Scenario(
-        initial_memory=((SEEDED, True),),
-        programs=((PlannedOp(3, OpName.PUSH, Element(2, 2)),),),
-    )
+    return plan([(1, True)], [(1, 2)])
 
 
 def pops_around_a_push_and_pop() -> Scenario:
     """One 2x2 mix over one seeded node: thread 1 pops twice; thread 2
-    pushes, then pops."""
-    return Scenario(
-        initial_memory=((SEEDED, False),),
-        programs=(
-            (PlannedOp(2, OpName.POP), PlannedOp(3, OpName.POP)),
-            (PlannedOp(4, OpName.PUSH, Element(2, 2)), PlannedOp(5, OpName.POP)),
-        ),
-    )
+    pushes, then pops.  The prologue's push of the seeded node is op 1;
+    thread 1 runs ops 2 and 3, thread 2 ops 4 and 5."""
+    return plan([(1, False)], [(1, None), (1, None), (2, 2), (2, None)])
 
 
 # ---------------------------------------------------------------------------

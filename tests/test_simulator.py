@@ -23,6 +23,7 @@ from multistack.simulator import (
     explore,
     load_bundled_fixture,
     parse_fixture,
+    plan,
     probe_budget,
     progress_probe,
     prologue_events,
@@ -36,15 +37,9 @@ from support import seq_column
 
 
 def pop_only_scenario(threads: int, pops_each: int, memory=()) -> Scenario:
-    programs = []
-    op_id = sum(2 if elim else 1 for _, elim in memory)
-    for _ in range(threads):
-        program = []
-        for _ in range(pops_each):
-            op_id += 1
-            program.append(PlannedOp(op_id, OpName.POP))
-        programs.append(tuple(program))
-    return Scenario(initial_memory=tuple(memory), programs=tuple(programs))
+    """memory holds (value, deleted) pairs, deepest first."""
+    ops = [(thread, None) for thread in range(1, threads + 1) for _ in range(pops_each)]
+    return plan(memory, ops)
 
 
 def run_schedule(scenario: Scenario, entries):
@@ -78,9 +73,7 @@ def test_planned_op_validation():
 
 
 def test_initial_config_chains_seeded_memory():
-    scenario = pop_only_scenario(
-        1, 1, memory=((Element(17, 1), False), (Element(11, 2), True), (Element(7, 3), False))
-    )
+    scenario = pop_only_scenario(1, 1, memory=((17, False), (11, True), (7, False)))
     run = Run(scenario)
     _, top, _ = run.key()
     assert top == Element(7, 3)
@@ -125,7 +118,7 @@ def test_pop_on_empty_is_one_slot():
 
 
 def test_uncontended_pop_takes_four_slots():
-    scenario = pop_only_scenario(1, 1, memory=((Element(13, 1), False),))
+    scenario = pop_only_scenario(1, 1, memory=((13, False),))
     run, events = run_schedule(scenario, [1, 1, 1, 1])
     assert shapes(events) == [
         (EventKind.INVOCATION, None),
@@ -142,7 +135,7 @@ def test_uncontended_pop_takes_four_slots():
 
 def test_uncontended_push_takes_three_slots():
     element = Element(9, 1)
-    scenario = Scenario(programs=((PlannedOp(1, OpName.PUSH, element),),))
+    scenario = plan((), [(1, 9)])
     # Paused before its swing, the thread holds its node and the top it read.
     paused, _ = run_schedule(scenario, [1, 1])
     assert paused.key()[2] == ((6, 0, (("node", element), ("t", None))),)
@@ -159,10 +152,7 @@ def test_uncontended_push_takes_three_slots():
 
 def test_push_over_deleted_top_helps_first():
     element = Element(9, 2)
-    scenario = Scenario(
-        initial_memory=((Element(5, 1), True),),
-        programs=((PlannedOp(3, OpName.PUSH, element),),),
-    )
+    scenario = plan([(5, True)], [(1, 9)])
     run, events = run_schedule(scenario, [1] * 6)
     lines = [e.payload for e in events if e.kind is EventKind.STEP]
     assert lines == [3, 4, 10, 3, 4, 6]
@@ -171,7 +161,7 @@ def test_push_over_deleted_top_helps_first():
 
 
 def test_pop_over_deleted_top_helps_then_sees_empty():
-    scenario = pop_only_scenario(1, 1, memory=((Element(5, 1), True),))
+    scenario = pop_only_scenario(1, 1, memory=((5, True),))
     run, events = run_schedule(scenario, [1] * 4)
     lines = [e.payload for e in events if e.kind is EventKind.STEP]
     assert lines == [16, 17, 20, 25, 16, 17]
@@ -181,12 +171,7 @@ def test_pop_over_deleted_top_helps_then_sees_empty():
 
 def test_losing_push_retries_with_the_same_node():
     a, b = Element(1, 1), Element(2, 2)
-    scenario = Scenario(
-        programs=(
-            (PlannedOp(1, OpName.PUSH, a),),
-            (PlannedOp(2, OpName.PUSH, b),),
-        )
-    )
+    scenario = plan((), [(1, 1), (2, 2)])
     # Both read top, thread 1 swings first; thread 2's swing fails and it
     # goes around again.
     run, events = run_schedule(scenario, [1, 2, 1, 2, 1, 2, 2, 2, 2])
@@ -222,7 +207,7 @@ def test_replayed_prefixes_reject_bad_entries_like_new_slots():
 
 
 def test_deletion_flag_regression_is_detected():
-    scenario = pop_only_scenario(1, 1, memory=((Element(5, 1), True), (Element(6, 2), False)))
+    scenario = pop_only_scenario(1, 1, memory=((5, True), (6, False)))
     run = Run(scenario)
     run.take(0)
     run.nodes[0].elim = False  # corrupt memory between two slots
@@ -231,7 +216,7 @@ def test_deletion_flag_regression_is_detected():
 
 
 def test_chain_cycle_is_detected():
-    scenario = pop_only_scenario(1, 1, memory=((Element(1, 1), False), (Element(2, 2), False)))
+    scenario = pop_only_scenario(1, 1, memory=((1, False), (2, False)))
     run = Run(scenario)
     run.take(0)
     run.nodes[0].next = run.nodes[1]  # corrupt memory between two slots
@@ -245,9 +230,7 @@ def test_chain_cycle_is_detected():
 
 
 def test_prologue_builds_the_seeded_memory_sequentially():
-    scenario = pop_only_scenario(
-        1, 1, memory=((Element(17, 1), False), (Element(11, 2), True), (Element(7, 3), False))
-    )
+    scenario = pop_only_scenario(1, 1, memory=((17, False), (11, True), (7, False)))
     events = prologue_events(scenario)
     assert all(e.process == 0 for e in events)
     assert seq_column(events) == list(range(len(events)))
@@ -369,6 +352,44 @@ def test_parse_fixture_mints_ids_deterministically():
     assert scenario.expect_memory == ((17, False), (5, False))
 
 
+INTERLEAVED = """
+INIT (17,F) (11,T) (7,F)
+OP 2 PUSH 5
+OP 1 POP
+OP 3 PUSH 6
+OP 2 POP
+OP 1 PUSH 8
+SCHED 2 1 3
+"""
+
+
+def test_parse_fixture_numbers_interleaved_threads_in_line_order():
+    scenario = parse_fixture(INTERLEAVED)
+    # The prologue takes ops 1-4 (the deleted 11 is pushed and popped) and
+    # push ids 1-3; OP lines take the ids after them in line order, not
+    # thread by thread.
+    assert scenario.programs == (
+        (PlannedOp(6, OpName.POP), PlannedOp(9, OpName.PUSH, Element(8, 6))),
+        (PlannedOp(5, OpName.PUSH, Element(5, 4)), PlannedOp(8, OpName.POP)),
+        (PlannedOp(7, OpName.PUSH, Element(6, 5)),),
+    )
+    assert [e.op_id for e in prologue_events(scenario)][-1] == 4
+
+
+def test_plan_builds_what_the_fixture_parser_builds():
+    scenario = plan(
+        [(17, False), (11, True), (7, False)],
+        [(2, 5), (1, None), (3, 6), (2, None), (1, 8)],
+        schedule=(2, 1, 3),
+    )
+    assert scenario == parse_fixture(INTERLEAVED)
+    assert scenario.initial_memory == (
+        (Element(17, 1), False),
+        (Element(11, 2), True),
+        (Element(7, 3), False),
+    )
+
+
 @pytest.mark.parametrize(
     "text, lineno",
     [
@@ -436,7 +457,7 @@ def test_explore_order_is_deterministic():
 
 
 def test_explore_finds_the_shared_return():
-    scenario = pop_only_scenario(2, 1, memory=((Element(13, 1), False),))
+    scenario = pop_only_scenario(2, 1, memory=((13, False),))
     shared = 0
     exclusive = 0
     for run in explore(scenario):
@@ -466,13 +487,8 @@ def test_explore_truncates_runaway_runs():
 
 def test_reachable_configs_match_schedule_prefixes():
     scenarios = [
-        pop_only_scenario(2, 1, memory=((Element(13, 1), False),)),
-        Scenario(
-            programs=(
-                (PlannedOp(1, OpName.PUSH, Element(1, 1)),),
-                (PlannedOp(2, OpName.PUSH, Element(2, 2)),),
-            )
-        ),
+        pop_only_scenario(2, 1, memory=((13, False),)),
+        plan((), [(1, 1), (2, 2)]),
     ]
     for scenario in scenarios:
         via_prefixes = set()
@@ -489,7 +505,7 @@ def test_reachable_configs_match_schedule_prefixes():
 
 
 def test_reachable_configs_counts_a_straight_line_run():
-    scenario = Scenario(programs=((PlannedOp(1, OpName.PUSH, Element(1, 1)),),))
+    scenario = plan((), [(1, 1)])
     assert len(list(reachable_configs(scenario))) == 4  # idle, 3, 4, done
 
 
@@ -506,7 +522,7 @@ def test_sweep_judges_each_distinct_history_once(monkeypatch):
     judged = []
 
     def counting(history, **kwargs):
-        judged.append(inv_res(history))
+        judged.append(history.events)
         return check_set_linearizable(history, **kwargs)
 
     monkeypatch.setattr(simulator, "check_set_linearizable", counting)
@@ -518,6 +534,8 @@ def test_sweep_judges_each_distinct_history_once(monkeypatch):
     }
     assert (result.runs, len(judged), len(distinct)) == (30, 14, 14)
     assert result.distinct_histories == len(judged)
+    # A verdict depends only on its cache key: no judged history holds a STEP.
+    assert not any(e.kind is EventKind.STEP for events in judged for e in events)
     assert set(judged) == distinct
     assert result.accepted == 30
 
@@ -526,8 +544,7 @@ def test_sweep_caps_the_checker_at_the_scenario_operation_count():
     # 16 seeded pushes and one planned pop: 17 operations, one over the
     # checker's default cap, so a cap of 16 or of the planned op alone
     # would leave the run undecided.
-    memory = tuple((Element(value, value), False) for value in range(1, 17))
-    scenario = pop_only_scenario(1, 1, memory=memory)
+    scenario = pop_only_scenario(1, 1, memory=[(value, False) for value in range(1, 17)])
     result = sweep([scenario])
     assert (result.runs, result.accepted, result.rejected) == (1, 1, ())
     (run,) = explore(scenario)
@@ -540,7 +557,7 @@ def test_sweep_caps_the_checker_at_the_scenario_operation_count():
 
 
 def test_probe_completes_around_a_thread_frozen_before_its_write():
-    scenario = pop_only_scenario(2, 1, memory=((Element(13, 1), False),))
+    scenario = pop_only_scenario(2, 1, memory=((13, False),))
     schedule = (1, 1)  # thread 1 parked before line 21
     budget = probe_budget(Run(scenario, schedule))
     report = progress_probe(scenario, schedule, stalled=0, budget=budget)
@@ -549,7 +566,7 @@ def test_probe_completes_around_a_thread_frozen_before_its_write():
 
 
 def test_probe_completes_around_a_thread_frozen_after_its_write():
-    scenario = pop_only_scenario(2, 1, memory=((Element(13, 1), False),))
+    scenario = pop_only_scenario(2, 1, memory=((13, False),))
     schedule = (1, 1, 1)  # flag set, swing not taken
     budget = probe_budget(Run(scenario, schedule))
     report = progress_probe(scenario, schedule, stalled=0, budget=budget)
@@ -559,7 +576,7 @@ def test_probe_completes_around_a_thread_frozen_after_its_write():
 
 
 def test_probe_reports_a_missed_budget():
-    scenario = pop_only_scenario(2, 1, memory=((Element(13, 1), False),))
+    scenario = pop_only_scenario(2, 1, memory=((13, False),))
     report = progress_probe(scenario, (), stalled=0, budget=0)
     assert report.failures == (1,)
     assert not report.all_completed
@@ -572,8 +589,6 @@ def test_probe_ignores_finished_threads():
 
 
 def test_probe_budget_counts_every_reachable_node():
-    scenario = pop_only_scenario(
-        1, 1, memory=((Element(1, 1), False), (Element(2, 2), True))
-    )
+    scenario = pop_only_scenario(1, 1, memory=((1, False), (2, True)))
     assert probe_budget(Run(scenario)) == 6 * 3  # deleted nodes cost help rounds too
     assert probe_budget(Run(pop_only_scenario(1, 1))) == 6
