@@ -49,7 +49,6 @@ through private lines, so a fresh operation takes the slots
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Any, Callable, Generator, Optional, Union
 
 from .elements import EMPTY, Element, _Empty, _new
@@ -105,16 +104,20 @@ class _GuardedNode:
     """Node variant whose elim flag reports any True-to-False write.
 
     The flag is one-way by design; checked runs use this variant so a
-    violation surfaces as data instead of silent corruption.
+    violation surfaces as data instead of silent corruption.  A node
+    appends its report to its stack's violation list and holds no
+    reference to the stack itself: the stack reaches its nodes through
+    top, so a back-reference would make every checked stack, and every
+    simulated run with it, garbage that only the cyclic collector frees.
     """
 
-    __slots__ = ("element", "next", "_elim", "_report")
+    __slots__ = ("element", "next", "_elim", "_violations")
 
-    def __init__(self, element: Element, report: Callable[[str], None]) -> None:
+    def __init__(self, element: Element, violations: list[str]) -> None:
         self.element = element
         self.next = None
         self._elim = False
-        self._report = report
+        self._violations = violations
 
     @property
     def elim(self) -> bool:
@@ -123,7 +126,7 @@ class _GuardedNode:
     @elim.setter
     def elim(self, value: bool) -> None:
         if self._elim and not value:
-            self._report(f"elim flag of {self.element} was reset to False")
+            self._violations.append(f"elim flag of {self.element} was reset to False")
         self._elim = value
 
 
@@ -132,6 +135,10 @@ class RelaxedStack:
 
     checked=True swaps in guarded nodes and collects invariant violations
     (one-way elim flag, acyclic reachable chain) instead of assuming them.
+    Guarded nodes report into the stack's violation list, never back into
+    the stack, so a checked stack holds no reference cycle and reference
+    counting frees it with its nodes.  Appending to and copying the list
+    are single C calls, which the GIL keeps whole without a lock.
     """
 
     def __init__(self, checked: bool = False) -> None:
@@ -139,7 +146,6 @@ class RelaxedStack:
         self._ids = itertools.count(1)
         self._checked = checked
         self._violations: list[str] = []
-        self._violations_lock = threading.Lock()
 
     def make_element(self, value: int) -> Element:
         """Wrap a value with a fresh push id; lock-free, as PushIdSource."""
@@ -147,7 +153,7 @@ class RelaxedStack:
 
     def push(self, element: Element, trace: Optional[Trace] = None) -> bool:
         if self._checked:
-            node = _GuardedNode(element, self._record_violation)
+            node = self._guarded_node(element)
         else:
             node = _Node()
             node.element = element
@@ -206,6 +212,10 @@ class RelaxedStack:
                 if trace is not None:
                     trace(25)
 
+    def _guarded_node(self, element: Element) -> _GuardedNode:
+        """A fresh, unpublished guarded node reporting into this stack."""
+        return _GuardedNode(element, self._violations)
+
     # -- observation ---------------------------------------------------------
 
     def logical_state(self) -> tuple[Element, ...]:
@@ -226,8 +236,7 @@ class RelaxedStack:
     def invariant_violations(self) -> list[str]:
         """Violations recorded so far.  A checked stack also walks its chain
         from top here, so a cycle as it stands now is reported too."""
-        with self._violations_lock:
-            violations = list(self._violations)
+        violations = list(self._violations)
         if self._checked:
             try:
                 self._walk()
@@ -248,10 +257,6 @@ class RelaxedStack:
             nodes.append(node)
             node = node.next
         return nodes
-
-    def _record_violation(self, message: str) -> None:
-        with self._violations_lock:
-            self._violations.append(message)
 
 
 # -- the algorithm as steps ----------------------------------------------------

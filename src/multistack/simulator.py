@@ -17,7 +17,9 @@ et al., OSDI 2008): a branch rebuilds the memory and replays its schedule
 from the root.  The replayed prefix emits no events and is not
 re-checked, both done when its slots were first taken; the explorer
 copies the prefix's events into each run it yields.
-A schedule, replayed twice, yields byte-identical histories.
+A schedule, replayed twice, yields byte-identical histories.  A run holds
+no reference cycle, so reference counting frees it, its memory and its
+generators as soon as the last reference to it drops.
 
 Histories produced here open with a provenance prologue: a sequential run
 (process 0) that builds the initial memory, pushing each seeded element
@@ -49,7 +51,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 from .checker import check_linearizable, check_set_linearizable
 from .elements import EMPTY, Element, _Empty
 from .history import Event, EventKind, History, OpName, Payload, history_shares_return
-from .relaxed_stack import PRIVATE_LINES, RelaxedStack, _GuardedNode, pop_steps, push_steps
+from .relaxed_stack import PRIVATE_LINES, RelaxedStack, pop_steps, push_steps
 
 
 class ScheduleError(Exception):
@@ -138,7 +140,7 @@ class Run:
             self._slot(entry - 1, None)
 
     def _new_node(self, element: Element):
-        node = _GuardedNode(element, self.stack._record_violation)
+        node = self.stack._guarded_node(element)
         self.nodes.append(node)
         return node
 
@@ -451,21 +453,24 @@ def reachable_configs(scenario: Scenario) -> Iterator[tuple[int, ...]]:
     the first run to reach it.  Runs always bottom out: flags only ever get
     set, nodes are only ever added, and a retry needs somebody else's
     successful swing, of which there are finitely many."""
-    seen: set = set()
+    yield from _walk_configs(scenario, Run(scenario), set())
 
-    def walk(run: Run) -> Iterator[tuple[int, ...]]:
-        key = run.key()
-        if key in seen:
-            return
-        seen.add(key)
-        schedule = tuple(run.schedule)
-        yield schedule
-        for branch, thread in enumerate(run.enabled()):
-            child = Run(scenario, schedule) if branch else run
-            child.take(thread)
-            yield from walk(child)
 
-    yield from walk(Run(scenario))
+def _walk_configs(scenario: Scenario, run: Run, seen: set) -> Iterator[tuple[int, ...]]:
+    """reachable_configs below run, depth first, skipping the keys in seen.
+    A module-level function: a nested generator that names itself holds
+    its own closure cell, a cycle that would keep seen alive until a
+    garbage collection."""
+    key = run.key()
+    if key in seen:
+        return
+    seen.add(key)
+    schedule = tuple(run.schedule)
+    yield schedule
+    for branch, thread in enumerate(run.enabled()):
+        child = Run(scenario, schedule) if branch else run
+        child.take(thread)
+        yield from _walk_configs(scenario, child, seen)
 
 
 # ---------------------------------------------------------------------------

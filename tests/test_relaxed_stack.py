@@ -256,6 +256,23 @@ def test_guarded_nodes_allow_the_one_way_write():
     assert stack.invariant_violations == []
 
 
+def test_guarded_nodes_hold_no_reference_to_their_stack():
+    # The stack reaches its nodes through top; a node reaching back would
+    # leave every checked stack to the cyclic collector.
+    stack = RelaxedStack(checked=True)
+    stack.push(stack.make_element(1))
+    stack.push(stack.make_element(2))
+    node = stack._top.value
+    assert stack not in gc.get_referents(node)
+    reached, frontier = set(), [node]
+    while frontier:  # everything the node reaches, short of classes
+        obj = frontier.pop()
+        if id(obj) not in reached and not isinstance(obj, type):
+            reached.add(id(obj))
+            frontier.extend(gc.get_referents(obj))
+    assert id(stack) not in reached
+
+
 # ---------------------------------------------------------------------------
 # Real threads
 # ---------------------------------------------------------------------------
