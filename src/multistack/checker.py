@@ -16,14 +16,15 @@ pairwise overlap, a popped id nobody pushed, or two pushes claiming one
 id.  Both checks build their classes there, so whatever the linearizable
 check accepts, the set-linearizable check accepts too.  Grouping reads
 the records twice: one pass checks every result's shape and indexes the
-pushes, the other builds the classes, singletons directly.
+pushes, the other builds each class together with its span.
 
-Precedence comes from three integers per class, its first invocation,
-last invocation and first response: class k precedes class i exactly when
-first_res[k] < last_inv[i].  A class's members overlap pairwise, so a
-remaining class is ready exactly when its last_inv is below the earliest
-first_res among the remaining classes (just-in-time linearization; Wing &
-Gong 1993, Lowe 2017).  The search tries ready classes in order of first
+The span is three integers per class, its first invocation, last
+invocation and first response, and it is all the search reads of the
+records: class k precedes class i exactly when first_res[k] < last_inv[i].
+A class's members overlap pairwise, so a remaining class is ready exactly
+when its last_inv is below the earliest first_res among the remaining
+classes (just-in-time linearization; Wing & Gong 1993, Lowe 2017).  The
+search sorts grouping's rows and tries ready classes in order of first
 invocation, depth first on an explicit stack.  It runs the model on
 interned states (hash-consing; Filliâtre & Conchon 2006): a stack is an
 id for its (stack below, push id on top) pair, so a transition costs O(1).
@@ -57,7 +58,6 @@ from .spec_machine import (
     ConcurrencyClass,
     TransitionError,
     apply_class,
-    pop_group_class,
     replay,
 )
 
@@ -66,6 +66,9 @@ DEFAULT_MAX_OPS = 16
 # Module-level names: a global load is cheaper than an Enum class lookup.
 _PUSH_OP = OpName.PUSH
 _PUSH, _POP_EMPTY, _POP_GROUP = ClassKind
+
+# A class's first invocation, last invocation and first response, then the class.
+Row = tuple[int, int, int, ConcurrencyClass]
 
 
 class StructuralRefutation(Exception):
@@ -93,10 +96,9 @@ class Verdict(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def group_classes(
-    records: Sequence[OperationRecord], shared: bool = True
-) -> list[ConcurrencyClass]:
-    """Partition complete operations into their only possible classes.
+def group_classes(records: Sequence[OperationRecord], shared: bool = True) -> list[Row]:
+    """Partition complete operations into their only possible classes, each
+    in a row with its span.
 
     Pops returning the same push id form one class; with shared=False every
     pop is alone in its class.  Raises StructuralRefutation when no stack
@@ -106,8 +108,10 @@ def group_classes(
     with its push (in record order), same-id pops that do not pairwise
     overlap.  One pass checks the shapes and indexes the pushes, keeping
     the first duplicate until every shape has passed; a second builds the
-    classes.  Singleton classes are built directly: they cannot repeat an
-    op id, and the first pass has checked their elements.
+    rows: pushes and empty pops in record order, then pop classes by key.
+    A singleton's span is its own interval; a group's runs from its
+    earliest to its latest member invocation, and ends at its earliest
+    member response.
     """
     if any(r.responded_at is None for r in records):
         raise ValueError("grouping expects pending operations to be dropped first")
@@ -137,14 +141,14 @@ def group_classes(
             f"id #{push_id}"
         )
 
-    classes: list[ConcurrencyClass] = []
+    rows: list[Row] = []
     shared_pops: dict[int, list[OperationRecord]] = {}
     for record in records:
         returned = record.result
         if record.name is _PUSH_OP:
-            classes.append(ConcurrencyClass(_PUSH, (record.op_id,), record.argument))
+            cls = ConcurrencyClass(_PUSH, (record.op_id,), record.argument)
         elif returned is EMPTY:
-            classes.append(ConcurrencyClass(_POP_EMPTY, (record.op_id,), None))
+            cls = ConcurrencyClass(_POP_EMPTY, (record.op_id,), None)
         else:
             push = pushes_by_id.get(returned.push_id)
             if push is None:
@@ -159,11 +163,14 @@ def group_classes(
                 )
             key = returned.push_id if shared else record.op_id
             shared_pops.setdefault(key, []).append(record)
+            continue
+        rows.append((record.invoked_at, record.invoked_at, record.responded_at, cls))
 
     for push_id, members in sorted(shared_pops.items()):
         first = members[0]
         if len(members) == 1:
-            classes.append(ConcurrencyClass(_POP_GROUP, (first.op_id,), first.result))
+            cls = ConcurrencyClass(_POP_GROUP, (first.op_id,), first.result)
+            rows.append((first.invoked_at, first.invoked_at, first.responded_at, cls))
             continue
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
@@ -172,8 +179,10 @@ def group_classes(
                         f"ops {a.op_id} and {b.op_id} both popped id #{push_id} "
                         "but do not overlap in real time"
                     )
-        classes.append(pop_group_class([m.op_id for m in members], first.result))
-    return classes
+        invoked = [m.invoked_at for m in members]
+        cls = ConcurrencyClass(_POP_GROUP, tuple(m.op_id for m in members), first.result)
+        rows.append((min(invoked), max(invoked), min(m.responded_at for m in members), cls))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -181,39 +190,25 @@ def group_classes(
 # ---------------------------------------------------------------------------
 
 
-def _search(
-    classes: Sequence[ConcurrencyClass], records: Sequence[OperationRecord]
-) -> tuple[Optional[tuple[ConcurrencyClass, ...]], str]:
+def _search(rows: Sequence[Row]) -> tuple[Optional[tuple[ConcurrencyClass, ...]], str]:
     """Depth-first search for a precedence-respecting replayable order.
 
     Returns (order, "") on success or (None, refutation) on exhaustion.
-    Model states are interned ids: 0 is the empty stack, and each (state
-    below, push id on top) pair gets one id, so equal stacks share an id.
-    Search states are (state id, ready window); dead ones are memoized so
-    shared suffixes are refuted once.
+    The ready window needs every class's last invocation to come before
+    its first response, and grouping's rows guarantee it: a singleton
+    responds after it is invoked, and intervals that overlap pairwise
+    share a point.  Model states are interned ids: 0 is the empty stack,
+    and each (state below, push id on top) pair gets one id, so equal
+    stacks share an id.  Search states are (state id, ready window); dead
+    ones are memoized so shared suffixes are refuted once.
     """
-    n = len(classes)
+    n = len(rows)
     if n == 0:
         return (), ""
-    by_id = {r.op_id: r for r in records}
-    spans = []
-    for cls in classes:
-        if len(cls.op_ids) == 1:
-            record = by_id[cls.op_ids[0]]
-            first = last = record.invoked_at
-            responded = record.responded_at
-        else:
-            invoked = [by_id[op].invoked_at for op in cls.op_ids]
-            first, last = min(invoked), max(invoked)
-            responded = min(by_id[op].responded_at for op in cls.op_ids)
-        # The ready window needs this; grouping only builds overlapping classes.
-        assert last < responded, f"class {cls.op_ids} is not concurrent"
-        spans.append((first, last, responded, cls))
     # Deterministic witnesses: try ready classes by earliest member invocation.
-    # First invocations are distinct event positions, so no two spans tie
+    # First invocations are distinct event positions, so no two rows tie
     # there and the sort never compares classes.
-    spans.sort()
-    first_inv, last_inv, first_res, ordered = zip(*spans)
+    first_inv, last_inv, first_res, ordered = zip(*sorted(rows))
     below = [0]  # state id -> id of the state under its top
     tops: list[Optional[Element]] = [None]  # state id -> element on top
     interned: dict[tuple[int, int], int] = {}  # (below, push id) -> state id
@@ -342,11 +337,11 @@ def _check(history: History, shared: bool, max_ops: int) -> Verdict:
             refutation=f"{len(records)} complete operations exceed the cap of {max_ops}",
         )
     try:
-        classes = group_classes(records, shared)
+        rows = group_classes(records, shared)
     except StructuralRefutation as exc:
         return Verdict(CheckOutcome.REJECTED, refutation=str(exc))
 
-    witness, refutation = _search(classes, records)
+    witness, refutation = _search(rows)
     if witness is None:
         return Verdict(CheckOutcome.REJECTED, refutation=refutation)
     _verify_witness(witness, records)

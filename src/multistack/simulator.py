@@ -488,14 +488,14 @@ class ProbeReport:
         return not self.failures
 
 
-def progress_probe(
-    scenario: Scenario, schedule: Sequence[int], stalled: int, budget: int
-) -> ProbeReport:
+def progress_probe(scenario: Scenario, schedule: Sequence[int], stalled: int) -> ProbeReport:
     """Freeze one thread wherever the schedule leaves it and let every
     other thread run round robin.  Each other thread must finish its
-    current operation (or its next, if idle) within the given number of
-    its own slots; no steps of the frozen thread are ever taken."""
+    current operation (or its next, if idle) within probe_budget of its
+    own slots, taken where the schedule ends; no steps of the frozen
+    thread are ever taken."""
     run = Run(scenario, schedule)
+    budget = probe_budget(run)
     targets = {
         i: run.threads[i].op_index + 1 for i in run.enabled() if i != stalled
     }

@@ -11,8 +11,9 @@ apply_class, consumes a whole concurrency class rather than one operation:
   leaves the state unchanged.
 
 Restricted to singleton classes this is the classical sequential stack.
-The checker replays candidate class orderings through this module, so it
-is deliberately tiny, pure, and total over validated inputs.
+The checker builds the classes, from records it has already checked, and
+replays candidate orderings through this module, so it is deliberately
+tiny and pure.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ EMPTY_STATE: SpecState = ()
 
 class TransitionError(ValueError):
     """An operation class is not applicable in the current state."""
-
-
-class MalformedClassError(ValueError):
-    """A concurrency class is structurally invalid regardless of state."""
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +50,6 @@ class ConcurrencyClass(NamedTuple):
     op_ids      member operation ids (singleton for PUSH and POP_EMPTY)
     element     the pushed element (PUSH) or the shared return (POP_GROUP);
                 None for POP_EMPTY
-
-    push_class, pop_empty_class and pop_group_class build classes and
-    reject structurally invalid ones with MalformedClassError.  The checker
-    builds push, empty-pop and singleton-pop classes directly, from records
-    its grouping pass has already checked, and sends only multi-member pop
-    groups through pop_group_class.
     """
 
     kind: ClassKind
@@ -76,27 +67,6 @@ class ConcurrencyClass(NamedTuple):
 
 # Module-level names: a global load is cheaper than an Enum class lookup.
 _PUSH, _POP_EMPTY, _POP_GROUP = ClassKind
-
-
-def push_class(op_id: int, element: Element) -> ConcurrencyClass:
-    if element is None:
-        raise MalformedClassError("PUSH class requires an element")
-    return ConcurrencyClass(_PUSH, (op_id,), element)
-
-
-def pop_empty_class(op_id: int) -> ConcurrencyClass:
-    return ConcurrencyClass(_POP_EMPTY, (op_id,), None)
-
-
-def pop_group_class(op_ids: Sequence[int], element: Element) -> ConcurrencyClass:
-    op_ids = tuple(op_ids)
-    if not op_ids:
-        raise MalformedClassError("class with no member operations")
-    if len(set(op_ids)) != len(op_ids):
-        raise MalformedClassError(f"repeated op id in class {op_ids}")
-    if element is None:
-        raise MalformedClassError("POP_GROUP class requires an element")
-    return ConcurrencyClass(_POP_GROUP, op_ids, element)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +109,11 @@ class ReplayVerdict(NamedTuple):
 def replay(classes: Sequence[ConcurrencyClass]) -> ReplayVerdict:
     """Run a class sequence from the empty state.
 
-    Classes are validated structurally on construction; replay only decides
-    whether each one is applicable in turn.  The first inapplicable class
-    yields a rejection naming its index and the model's reason.  A set of
-    the push ids on the stack, kept beside it, lets an applicable push or
-    pop group take O(1); every other class goes through apply_class, which
-    applies it or words its refusal.
+    Replay decides only whether each class is applicable in turn.  The
+    first inapplicable class yields a rejection naming its index and the
+    model's reason.  A set of the push ids on the stack, kept beside it,
+    lets an applicable push or pop group take O(1); every other class goes
+    through apply_class, which applies it or words its refusal.
     """
     stack: list[Element] = []  # the state, deepest first
     present: set[int] = set()  # the push ids in stack

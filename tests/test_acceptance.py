@@ -23,7 +23,6 @@ from multistack.simulator import (
     Scenario,
     all_program_mixes,
     load_bundled_fixture,
-    probe_budget,
     progress_probe,
     reachable_configs,
     replay_scenario,
@@ -76,11 +75,9 @@ def probe_sweep():
             scenario = Scenario(programs=programs)
             for schedule in reachable_configs(scenario):
                 configs += 1
-                run = Run(scenario, schedule)
-                budget = probe_budget(run)
-                for stalled in run.enabled():
+                for stalled in Run(scenario, schedule).enabled():
                     probes += 1
-                    report = progress_probe(scenario, schedule, stalled, budget)
+                    report = progress_probe(scenario, schedule, stalled)
                     if not report.all_completed:
                         failures += 1
     return {

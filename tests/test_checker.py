@@ -28,14 +28,7 @@ from multistack.history import (
     operations,
     read_history,
 )
-from multistack.spec_machine import (
-    ClassKind,
-    apply_class,
-    pop_empty_class,
-    pop_group_class,
-    push_class,
-    replay,
-)
+from multistack.spec_machine import ClassKind, ConcurrencyClass, apply_class, replay
 from naive_oracle import (
     linearizable_by_enumeration,
     set_linearizable_by_enumeration,
@@ -91,11 +84,15 @@ def late_helper_history() -> History:
 
 
 def test_grouping_collects_shared_returns_into_one_class():
-    classes = group_classes(complete_operations(triple_shared_pop_history()))
-    pop_groups = [c for c in classes if c.kind is ClassKind.POP_GROUP]
+    rows = group_classes(complete_operations(triple_shared_pop_history()))
+    pop_groups = [row for row in rows if row[-1].kind is ClassKind.POP_GROUP]
     assert len(pop_groups) == 1
-    assert pop_groups[0].op_ids == (5, 6, 7)
-    assert pop_groups[0].element == E13
+    first_inv, last_inv, first_res, group = pop_groups[0]
+    assert group.op_ids == (5, 6, 7)
+    assert group.element == E13
+    # The four pushes take events 0-7; the pops are invoked at 8, 9 and 10
+    # and respond at 11, 12 and 13.
+    assert (first_inv, last_inv, first_res) == (8, 10, 11)
 
 
 def test_grouping_rejects_sequential_shared_returns():
@@ -179,7 +176,7 @@ def test_grouping_names_the_first_fault_in_a_fixed_order():
             group_classes(records)
         assert (type(info.value), str(info.value)) == (error, message)
         records = [r for r in records if r.op_id != op_id]
-    assert [c.op_ids for c in group_classes(records)] == [(2,), (5,), (6,)]
+    assert [row[-1].op_ids for row in group_classes(records)] == [(2,), (5,), (6,)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +461,23 @@ def test_witnesses_replay_and_respect_precedence():
     [
         (
             E5,
-            (pop_group_class([2], E5), push_class(1, E5)),
+            (
+                ConcurrencyClass(ClassKind.POP_GROUP, (2,), E5),
+                ConcurrencyClass(ClassKind.PUSH, (1,), E5),
+            ),
             "witness does not replay: pop[2]->v:5#1 applied to the empty state",
         ),
-        (E5, (push_class(1, E5),), "witness does not cover the operations exactly once"),
+        (
+            E5,
+            (ConcurrencyClass(ClassKind.PUSH, (1,), E5),),
+            "witness does not cover the operations exactly once",
+        ),
         (
             EMPTY,
-            (pop_empty_class(2), push_class(1, E5)),
+            (
+                ConcurrencyClass(ClassKind.POP_EMPTY, (2,), None),
+                ConcurrencyClass(ClassKind.PUSH, (1,), E5),
+            ),
             "witness order contradicts real-time precedence",
         ),
     ],

@@ -40,9 +40,7 @@ def walk_configs():
 def probe_stall():
     scenario = simulator.load_bundled_fixture("shared_pop")
     for stalled in range(len(scenario.programs)):
-        run = simulator.Run(scenario, scenario.schedule[:2])
-        budget = simulator.probe_budget(run)
-        simulator.progress_probe(scenario, scenario.schedule[:2], stalled, budget)
+        simulator.progress_probe(scenario, scenario.schedule[:2], stalled)
 
 
 def stress(impl: str):

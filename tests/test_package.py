@@ -1,9 +1,46 @@
-"""The package's top-level exports."""
+"""The package's top-level exports, and no unused imports in its modules."""
+
+import ast
+from pathlib import Path
 
 import multistack
+
+PACKAGE = Path(multistack.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in multistack.__all__ if not hasattr(multistack, name)]
     assert missing == []
     assert len(set(multistack.__all__)) == len(multistack.__all__)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names path imports but never reads.  A name listed in __all__
+    counts as read; __future__ imports and imports whose first line is
+    marked noqa are skipped."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
+    assert unused == []

@@ -34,6 +34,7 @@ from multistack.simulator import (
 )
 from multistack.spec_machine import ClassKind
 from support import seq_column
+from test_mutants import push_nohelp
 
 
 def pop_only_scenario(threads: int, pops_each: int, memory=()) -> Scenario:
@@ -559,8 +560,7 @@ def test_sweep_caps_the_checker_at_the_scenario_operation_count():
 def test_probe_completes_around_a_thread_frozen_before_its_write():
     scenario = pop_only_scenario(2, 1, memory=((13, False),))
     schedule = (1, 1)  # thread 1 parked before line 21
-    budget = probe_budget(Run(scenario, schedule))
-    report = progress_probe(scenario, schedule, stalled=0, budget=budget)
+    report = progress_probe(scenario, schedule, stalled=0)
     assert report.all_completed
     assert report.steps_used == ((1, 4),)
 
@@ -568,23 +568,27 @@ def test_probe_completes_around_a_thread_frozen_before_its_write():
 def test_probe_completes_around_a_thread_frozen_after_its_write():
     scenario = pop_only_scenario(2, 1, memory=((13, False),))
     schedule = (1, 1, 1)  # flag set, swing not taken
-    budget = probe_budget(Run(scenario, schedule))
-    report = progress_probe(scenario, schedule, stalled=0, budget=budget)
+    report = progress_probe(scenario, schedule, stalled=0)
     assert report.all_completed
     # The other pop finds the flag set, helps, and reports empty.
     assert report.steps_used == ((1, 4),)
 
 
-def test_probe_reports_a_missed_budget():
-    scenario = pop_only_scenario(2, 1, memory=((13, False),))
-    report = progress_probe(scenario, (), stalled=0, budget=0)
-    assert report.failures == (1,)
+def test_probe_reports_a_missed_budget(monkeypatch):
+    # One push onto a deleted top, beside a pop that stays frozen: the
+    # budget is 12 slots, and the real push lands in 6 of them.
+    scenario = plan([(1, True)], [(1, 2), (2, None)])
+    assert progress_probe(scenario, (), stalled=1).steps_used == ((0, 6),)
+    # A push that never swings past the deleted top spins through all 12.
+    monkeypatch.setattr(simulator, "push_steps", push_nohelp)
+    report = progress_probe(scenario, (), stalled=1)
+    assert report.steps_used == ((0, 12),) and report.failures == (0,)
     assert not report.all_completed
 
 
 def test_probe_ignores_finished_threads():
     scenario = pop_only_scenario(2, 1)
-    report = progress_probe(scenario, (2,), stalled=0, budget=5)  # thread 2 already done
+    report = progress_probe(scenario, (2,), stalled=0)  # thread 2 already done
     assert report.steps_used == () and report.all_completed
 
 

@@ -9,16 +9,15 @@ from hypothesis import given, strategies as st
 from multistack.elements import Element
 from multistack.spec_machine import (
     ClassKind,
+    ConcurrencyClass,
     EMPTY_STATE,
-    MalformedClassError,
     ReplayVerdict,
     TransitionError,
     apply_class,
-    pop_empty_class,
-    pop_group_class,
-    push_class,
     replay,
 )
+
+PUSH, POP_EMPTY, POP_GROUP = ClassKind
 
 
 def elems(*pairs):
@@ -30,70 +29,61 @@ STATE_17_7_13 = elems((17, 1), (7, 3), (13, 4))
 
 
 def test_push_on_empty():
-    assert apply_class(EMPTY_STATE, push_class(9, E13)) == (E13,)
+    assert apply_class(EMPTY_STATE, ConcurrencyClass(PUSH, (9,), E13)) == (E13,)
 
 
 def test_push_appends_at_top():
-    state = apply_class(elems((17, 1), (11, 2)), push_class(1, Element(8, 3)))
+    state = elems((17, 1), (11, 2))
+    state = apply_class(state, ConcurrencyClass(PUSH, (1,), Element(8, 3)))
     assert [e.value for e in state] == [17, 11, 8]
-    state = apply_class(state, push_class(2, Element(12, 4)))
+    state = apply_class(state, ConcurrencyClass(PUSH, (2,), Element(12, 4)))
     assert [e.value for e in state] == [17, 11, 8, 12]
 
 
 def test_duplicate_push_id_rejected():
-    state = apply_class(EMPTY_STATE, push_class(1, Element(1, 7)))
+    state = apply_class(EMPTY_STATE, ConcurrencyClass(PUSH, (1,), Element(1, 7)))
     with pytest.raises(TransitionError) as info:
-        apply_class(state, push_class(2, Element(2, 7)))
+        apply_class(state, ConcurrencyClass(PUSH, (2,), Element(2, 7)))
     assert str(info.value) == "push id 7 already on the stack"
 
 
 def test_pop_class_all_members_share_the_top():
-    state = apply_class(STATE_17_7_13, pop_group_class((6, 7, 8), E13))
+    state = apply_class(STATE_17_7_13, ConcurrencyClass(POP_GROUP, (6, 7, 8), E13))
     assert state == elems((17, 1), (7, 3))
 
 
 def test_pop_class_single_member_is_plain_pop():
-    assert apply_class(STATE_17_7_13, pop_group_class((1,), E13)) == elems((17, 1), (7, 3))
+    state = apply_class(STATE_17_7_13, ConcurrencyClass(POP_GROUP, (1,), E13))
+    assert state == elems((17, 1), (7, 3))
 
 
 def test_pop_class_sequence_two_then_one():
     state = elems((17, 1), (11, 2), (13, 4))
-    state = apply_class(state, pop_group_class((1, 2), Element(13, 4)))
-    state = apply_class(state, pop_group_class((3,), Element(11, 2)))
+    state = apply_class(state, ConcurrencyClass(POP_GROUP, (1, 2), Element(13, 4)))
+    state = apply_class(state, ConcurrencyClass(POP_GROUP, (3,), Element(11, 2)))
     assert state == elems((17, 1))
 
 
 def test_pop_class_on_empty_is_invalid():
     with pytest.raises(TransitionError) as info:
-        apply_class(EMPTY_STATE, pop_group_class((1,), E13))
+        apply_class(EMPTY_STATE, ConcurrencyClass(POP_GROUP, (1,), E13))
     assert str(info.value) == "pop[1]->v:13#4 applied to the empty state"
 
 
 def test_pop_empty_identity():
-    state = apply_class(EMPTY_STATE, pop_empty_class(3))
+    state = apply_class(EMPTY_STATE, ConcurrencyClass(POP_EMPTY, (3,), None))
     assert state == EMPTY_STATE
-    assert apply_class(state, pop_empty_class(4)) == EMPTY_STATE
+    assert apply_class(state, ConcurrencyClass(POP_EMPTY, (4,), None)) == EMPTY_STATE
 
 
 def test_pop_empty_on_nonempty_is_invalid():
     with pytest.raises(TransitionError) as info:
-        apply_class(STATE_17_7_13, pop_empty_class(1))
+        apply_class(STATE_17_7_13, ConcurrencyClass(POP_EMPTY, (1,), None))
     assert str(info.value) == "empty-pop applied to a non-empty state"
 
 
-def test_class_structure_validation():
-    e = Element(1, 1)
-    with pytest.raises(MalformedClassError):
-        pop_group_class((), e)
-    with pytest.raises(MalformedClassError):
-        pop_group_class((1, 1), e)
-    cls = pop_empty_class(2)
-    assert cls.kind is ClassKind.POP_EMPTY and cls.element is None
-    assert push_class(1, e).op_ids == (1,)
-
-
 def test_apply_class_checks_the_claimed_return():
-    wrong = pop_group_class((5,), Element(7, 3))
+    wrong = ConcurrencyClass(POP_GROUP, (5,), Element(7, 3))
     with pytest.raises(TransitionError) as info:
         apply_class(STATE_17_7_13, wrong)
     assert str(info.value) == (
@@ -108,14 +98,17 @@ def test_apply_class_checks_the_claimed_return():
 
 def test_replay_accepts_shared_pops():
     e = Element(1, 1)
-    verdict = replay([push_class(1, e), pop_group_class((2, 3), e)])
+    verdict = replay([ConcurrencyClass(PUSH, (1,), e), ConcurrencyClass(POP_GROUP, (2, 3), e)])
     assert verdict.accepted
     assert verdict.final_state == EMPTY_STATE
 
 
 def test_replay_rejects_popping_what_was_never_on_top():
     verdict = replay(
-        [push_class(1, Element(1, 1)), pop_group_class((2,), Element(2, 2))]
+        [
+            ConcurrencyClass(PUSH, (1,), Element(1, 1)),
+            ConcurrencyClass(POP_GROUP, (2,), Element(2, 2)),
+        ]
     )
     assert not verdict.accepted
     assert verdict.failed_index == 1
@@ -123,12 +116,14 @@ def test_replay_rejects_popping_what_was_never_on_top():
 
 
 def test_replay_rejects_pop_class_on_empty():
-    verdict = replay([pop_group_class((1,), Element(1, 1))])
+    verdict = replay([ConcurrencyClass(POP_GROUP, (1,), Element(1, 1))])
     assert not verdict.accepted and verdict.failed_index == 0
 
 
 def test_replay_rejects_pop_empty_on_nonempty():
-    verdict = replay([push_class(1, Element(1, 1)), pop_empty_class(2)])
+    verdict = replay(
+        [ConcurrencyClass(PUSH, (1,), Element(1, 1)), ConcurrencyClass(POP_EMPTY, (2,), None)]
+    )
     assert not verdict.accepted and verdict.failed_index == 1
 
 
@@ -141,15 +136,24 @@ def test_replay_rejects_a_push_id_repeated_beneath_others():
     first, second, third = elems((1, 7), (2, 8), (3, 9))
     again = Element(4, 7)  # push id 7 is two elements down by now
     verdict = replay(
-        [push_class(1, first), push_class(2, second), push_class(3, third), push_class(4, again)]
+        [
+            ConcurrencyClass(PUSH, (op_id,), element)
+            for op_id, element in enumerate((first, second, third, again), 1)
+        ]
     )
     assert not verdict.accepted and verdict.failed_index == 3
     assert verdict.reason == "push id 7 already on the stack"
     with pytest.raises(TransitionError) as info:
-        apply_class((first, second, third), push_class(4, again))
+        apply_class((first, second, third), ConcurrencyClass(PUSH, (4,), again))
     assert str(info.value) == verdict.reason
     # Once popped, the id is free again.
-    verdict = replay([push_class(1, first), pop_group_class((2,), first), push_class(3, again)])
+    verdict = replay(
+        [
+            ConcurrencyClass(PUSH, (1,), first),
+            ConcurrencyClass(POP_GROUP, (2,), first),
+            ConcurrencyClass(PUSH, (3,), again),
+        ]
+    )
     assert verdict.accepted and verdict.final_state == (again,)
 
 
@@ -166,9 +170,14 @@ def apply_each(classes):
 
 any_element = st.builds(Element, st.integers(1, 2), st.integers(1, 4))
 any_class = st.one_of(
-    st.builds(push_class, st.integers(1, 9), any_element),
-    st.builds(pop_empty_class, st.integers(1, 9)),
-    st.builds(pop_group_class, st.sets(st.integers(1, 9), min_size=1, max_size=3), any_element),
+    st.builds(ConcurrencyClass, st.just(PUSH), st.tuples(st.integers(1, 9)), any_element),
+    st.builds(ConcurrencyClass, st.just(POP_EMPTY), st.tuples(st.integers(1, 9)), st.none()),
+    st.builds(
+        ConcurrencyClass,
+        st.just(POP_GROUP),
+        st.sets(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+        any_element,
+    ),
 )
 
 
@@ -201,15 +210,15 @@ def interpret(codes):
             push_id += 1
             op_id += 1
             element = Element(push_id % 5, push_id)
-            classes.append(push_class(op_id, element))
+            classes.append(ConcurrencyClass(PUSH, (op_id,), element))
             model.append(element)
         elif not model:
             op_id += 1
-            classes.append(pop_empty_class(op_id))
+            classes.append(ConcurrencyClass(POP_EMPTY, (op_id,), None))
         else:
             ids = tuple(range(op_id + 1, op_id + 1 + k))
             op_id += k
-            classes.append(pop_group_class(ids, model.pop()))
+            classes.append(ConcurrencyClass(POP_GROUP, ids, model.pop()))
     return classes, model
 
 
