@@ -101,23 +101,29 @@ class _Node:  # no __init__ frame: push sets every slot before publishing
 
 
 class _GuardedNode:
-    """Node variant whose elim flag reports any True-to-False write.
+    """Node variant that reports a True-to-False write of its elim flag and
+    any write of its next link once published, so a broken invariant
+    surfaces as data instead of silent corruption.  It reports into its
+    stack's violation list, never back to the stack (see RelaxedStack)."""
 
-    The flag is one-way by design; checked runs use this variant so a
-    violation surfaces as data instead of silent corruption.  A node
-    appends its report to its stack's violation list and holds no
-    reference to the stack itself: the stack reaches its nodes through
-    top, so a back-reference would make every checked stack, and every
-    simulated run with it, garbage that only the cyclic collector frees.
-    """
-
-    __slots__ = ("element", "next", "_elim", "_violations")
+    __slots__ = ("element", "published", "_next", "_elim", "_violations")
 
     def __init__(self, element: Element, violations: list[str]) -> None:
         self.element = element
-        self.next = None
+        self.published = False
+        self._next = None
         self._elim = False
         self._violations = violations
+
+    @property
+    def next(self) -> Optional[_GuardedNode]:
+        return self._next
+
+    @next.setter
+    def next(self, node: Optional[_GuardedNode]) -> None:
+        if self.published:  # the one write that can close a cycle
+            self._violations.append(f"published {self.element} relinked; a cycle can close at it")
+        self._next = node
 
     @property
     def elim(self) -> bool:
@@ -216,6 +222,15 @@ class RelaxedStack:
         """A fresh, unpublished guarded node reporting into this stack."""
         return _GuardedNode(element, self._violations)
 
+    def _check_move(self, before: Optional[_GuardedNode]) -> None:
+        """Record a move of top from before, read ahead of one shared action,
+        other than a swing to before.next or a push, which publishes its node."""
+        after = self._top.value
+        if after is not None and not after.published and after.next is before:
+            after.published = True
+        elif after is not before and (before is None or after is not before.next):
+            self._violations.append(f"top jumped to {after and after.element}: no swing or push")
+
     # -- observation ---------------------------------------------------------
 
     def logical_state(self) -> tuple[Element, ...]:
@@ -246,7 +261,8 @@ class RelaxedStack:
 
     def _walk(self) -> list:
         """Chase next pointers from top; a cycle raises RuntimeError.  Published
-        links never change, so the walk sees a consistent chain even mid-run."""
+        links never change, so the walk sees a consistent chain even mid-run;
+        a simulated run, whose nodes report a relink, walks once at its end."""
         nodes = []
         seen: set[int] = set()
         node = self._top.value

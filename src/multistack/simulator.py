@@ -14,9 +14,8 @@ one generator per busy thread.  Run.key() is the configuration it stands
 in, free of the schedule that reached it.  Generators cannot be copied,
 so a run branches the way stateless model checkers do (CHESS, Musuvathi
 et al., OSDI 2008): a branch rebuilds the memory and replays its schedule
-from the root.  The replayed prefix emits no events and is not
-re-checked, both done when its slots were first taken; the explorer
-copies the prefix's events into each run it yields.
+from the root.  The replayed prefix is checked again but emits no
+events; the explorer copies the prefix's events into each run it yields.
 A schedule, replayed twice, yields byte-identical histories.  A run holds
 no reference cycle, so reference counting frees it, its memory and its
 generators as soon as the last reference to it drops.
@@ -31,10 +30,10 @@ plan numbers every scenario one way: seeded elements take push ids 1..k
 and pushes the next ones; the prologue's operations (one per seeded node,
 two per deleted one) take the first op ids and the planned ones the rest.
 
-Every newly taken slot reads the checked stack's invariant violations:
-its guarded nodes record a deletion flag going back to False, and it
-walks its chain from the top for a cycle.  Either raises
-SimulationInvariantError instead of propagating silently.
+Every slot raises SimulationInvariantError on what the checked stack
+records: a deletion flag reset, a published link rewritten, or top moved
+by neither a swing nor a push.  Only the last two can close a cycle, so
+only explore and replay_scenario walk the chain, once at a run's end.
 
 sweep is the exhaustive check behind `multistack explore`, the acceptance
 gates and the mutant tests: every interleaving of each scenario, with each
@@ -120,10 +119,9 @@ class _Thread:
 
 
 class Run:
-    """One run in flight: a checked stack memory seeded with the
-    scenario's initial memory, and one generator per busy thread.  The
-    given schedule (1-based) is replayed first: no events, no invariant
-    checks, but each entry must still name a thread with work left."""
+    """One run in flight: a checked stack seeded with the scenario's
+    initial memory and one generator per busy thread.  The given schedule
+    (1-based) is replayed first through take, with no events."""
 
     def __init__(self, scenario: Scenario, schedule: Sequence[int] = ()) -> None:
         self.stack = RelaxedStack(checked=True)
@@ -132,12 +130,12 @@ class Run:
         top = None
         for element, deleted in scenario.initial_memory:
             below, top = top, self._new_node(element)
-            top.next, top.elim = below, deleted
+            top.next, top.elim, top.published = below, deleted, True
         self._top.compare_and_set(None, top)
         self.threads = [_Thread(program) for program in scenario.programs]
         self.schedule: list[int] = []
         for entry in schedule:
-            self._slot(entry - 1, None)
+            self.take(entry - 1)
 
     def _new_node(self, element: Element):
         node = self.stack._guarded_node(element)
@@ -154,13 +152,7 @@ class Run:
 
     def take(self, thread: int, events: Optional[list[Event]] = None) -> None:
         """Run one slot of the 0-based thread, appending its events to events,
-        then check the memory's invariants."""
-        self._slot(thread, events)
-        violations = self.stack.invariant_violations
-        if violations:
-            raise SimulationInvariantError("; ".join(violations))
-
-    def _slot(self, thread: int, events: Optional[list[Event]]) -> None:
+        then check how the slot moved top and what its nodes recorded."""
         if not 0 <= thread < len(self.threads):
             raise ScheduleError(f"no thread {thread + 1}")
         state = self.threads[thread]
@@ -178,6 +170,7 @@ class Run:
                 state.steps = pop_steps(self._top)
             state.line = next(state.steps)
         line = state.line
+        before = self._top.value
         try:
             while True:
                 if events is not None:
@@ -194,6 +187,14 @@ class Run:
         else:
             state.line = line
         self.schedule.append(process)
+        self.stack._check_move(before)
+        if self.stack._violations:
+            raise SimulationInvariantError("; ".join(self.stack._violations))
+
+    def check_chain(self) -> None:
+        """Walk the chain from top once, for a cycle the slot checks missed."""
+        if violations := self.stack.invariant_violations:
+            raise SimulationInvariantError("; ".join(violations))
 
     def key(self) -> tuple:
         """The run's configuration, hashable: (nodes, top, threads).  nodes
@@ -294,6 +295,7 @@ def replay_scenario(scenario: Scenario) -> ScenarioResult:
     events = prologue_events(scenario)
     for entry in scenario.schedule:
         run.take(entry - 1, events)
+    run.check_chain()
     return ScenarioResult(
         history=History(tuple(events)),
         returns=tuple(tuple(state.returns) for state in run.threads),
@@ -364,6 +366,7 @@ def explore(scenario: Scenario, max_steps: int = 500) -> Iterator[ExploredRun]:
                 branches.extend((prefix, len(events), i) for i in reversed(enabled[1:]))
             run.take(enabled[0], events)
             continue
+        run.check_chain()
         yield ExploredRun(tuple(run.schedule), History(tuple(events)))
         if not branches:
             return

@@ -267,10 +267,12 @@ def test_acceptance_6_progress_probe(capsys, probe_sweep):
 
 
 def test_acceptance_7_deletion_monotone_chain_acyclic(capsys, exploration, stress_sweep):
-    # The interpreter rechecks both invariants after every slot and raises,
-    # so the exploration fixture finishing at all means zero violations
-    # there; the live stacks carry guards plus a final cycle-checking walk,
-    # folded into guard_violations and conservation above.
+    # The interpreter checks both invariants slot by slot, at the writes
+    # that can break them, walks each finished run's chain for a cycle, and
+    # raises on any violation, so the exploration fixture finishing at all
+    # means zero violations there; the live stacks carry guards plus a
+    # final cycle-checking walk, folded into guard_violations and
+    # conservation above.
     ok = (
         exploration["total"] > 0
         and stress_sweep["guard_violations"] == 0

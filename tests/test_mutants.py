@@ -17,7 +17,7 @@ import pytest
 
 import multistack.simulator as simulator
 from multistack.elements import EMPTY
-from multistack.simulator import ExplorationTruncated, Scenario, plan
+from multistack.simulator import ExplorationTruncated, Run, Scenario, SimulationInvariantError, plan
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,47 @@ def pop_noflagcheck(top):
     return t.element
 
 
+def pop_relink(top):
+    """pop that clears the next link of the node it flags (after line 21),
+    rewriting a published link: the swing at 22 then drops the rest."""
+    while True:
+        yield 16
+        t = top.value
+        yield 17
+        if t is None:
+            return EMPTY
+        yield 20
+        if not t.elim:
+            yield 21
+            t.elim = True
+            t.next = None
+            yield 22
+            top.compare_and_set(t, t.next)
+            return t.element
+        yield 25
+        top.compare_and_set(t, t.next)
+
+
+def pop_skip(top):
+    """pop whose swing at 22 moves the top two nodes down, past a node
+    nobody deleted (to empty from the bottom node)."""
+    while True:
+        yield 16
+        t = top.value
+        yield 17
+        if t is None:
+            return EMPTY
+        yield 20
+        if not t.elim:
+            yield 21
+            t.elim = True
+            yield 22
+            top.compare_and_set(t, t.next and t.next.next)
+            return t.element
+        yield 25
+        top.compare_and_set(t, t.next)
+
+
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
@@ -87,6 +128,11 @@ def two_pops_over_one_node() -> Scenario:
 def push_onto_a_deleted_top() -> Scenario:
     """One push onto a seeded node that is already deleted."""
     return plan([(1, True)], [(1, 2)])
+
+
+def two_pops_over_two_nodes() -> Scenario:
+    """Two threads pop once each over two seeded nodes."""
+    return plan([(1, False), (2, False)], [(1, None), (2, None)])
 
 
 def pops_around_a_push_and_pop() -> Scenario:
@@ -134,3 +180,19 @@ def test_pop_noflagcheck_pops_one_element_twice_in_sequence(monkeypatch):
     assert (result.runs, len(result.rejected)) == (902, 33)
     refutations = [refutation for _, refutation in result.rejected]
     assert "ops 2 and 5 both popped id #1 but do not overlap in real time" in refutations
+
+
+def test_two_pops_over_two_nodes_keep_the_chain():
+    result = simulator.sweep([two_pops_over_two_nodes()])
+    assert (result.runs, result.shared, result.rejected) == (94, 36, ())
+
+
+@pytest.mark.parametrize("mutant", [pop_relink, pop_skip])
+def test_pop_breaking_the_chain_raises_at_its_slot(monkeypatch, mutant):
+    monkeypatch.setattr(simulator, "pop_steps", mutant)
+    with pytest.raises(SimulationInvariantError):
+        simulator.sweep([two_pops_over_two_nodes()])
+    # Thread 1's first four slots break the chain either way; a replayed
+    # prefix is checked like newly taken slots.
+    with pytest.raises(SimulationInvariantError):
+        Run(two_pops_over_two_nodes(), (1, 1, 1, 1))

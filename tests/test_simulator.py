@@ -4,6 +4,7 @@ exploration, the sweep, and the stall probe."""
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ import multistack.simulator as simulator
 from multistack.checker import CheckOutcome, check_linearizable, check_set_linearizable
 from multistack.elements import EMPTY, Element
 from multistack.history import EventKind, OpName, dumps
+from multistack.relaxed_stack import RelaxedStack
 from multistack.simulator import (
     ExplorationTruncated,
     FixtureFormatError,
@@ -223,6 +225,37 @@ def test_chain_cycle_is_detected():
     run.nodes[0].next = run.nodes[1]  # corrupt memory between two slots
     with pytest.raises(SimulationInvariantError, match="cycle"):
         run.take(0)
+
+
+def count_walks(monkeypatch) -> list:
+    """Patch RelaxedStack._walk to count its calls into the returned list."""
+    calls = []
+    walk = RelaxedStack._walk
+
+    def counted(stack):
+        calls.append(None)
+        return walk(stack)
+
+    monkeypatch.setattr(RelaxedStack, "_walk", counted)
+    return calls
+
+
+def test_a_slot_walks_no_chain(monkeypatch):
+    rng = random.Random(7)
+    draw = [rng.randrange(1, 101) if rng.random() < 0.5 else None for _ in range(100)]
+    run = Run(plan([(1, False), (2, True)], [(i % 4 + 1, value) for i, value in enumerate(draw)]))
+    walks = count_walks(monkeypatch)
+    while enabled := run.enabled():
+        run.take(rng.choice(enabled))
+    assert len(run.schedule) > 400 and walks == []
+    assert len(run.stack.memory_snapshot()) > 1  # there was a chain to walk
+
+
+def test_explore_walks_each_finished_run_once(monkeypatch):
+    walks = count_walks(monkeypatch)
+    runs = list(explore(pop_only_scenario(2, 1, memory=((1, False), (2, False)))))
+    assert len(runs) > 1
+    assert len(walks) == len(runs)
 
 
 # ---------------------------------------------------------------------------
