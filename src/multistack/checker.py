@@ -1,13 +1,13 @@
 """Decision procedures for recorded histories.
 
-Two checks over the same machinery:
+Two checks over one partition:
 
 * check_set_linearizable: operations that observably shared one removal
   (pops returning the same push id) are grouped into a single class, and
   the search looks for an ordering of whole classes that respects
   real-time precedence and replays through the set-sequential model.
-* check_linearizable: every operation is its own class, which is the
-  classical condition against the plain sequential stack.
+* check_linearizable: the classical condition, where every class is one
+  operation; it refutes a class of two or more pops without a search.
 
 Grouping is forced, not searched: push ids are unique, so the partition
 of pops by returned id is the only candidate.  That makes several
@@ -96,22 +96,21 @@ class Verdict(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def group_classes(records: Sequence[OperationRecord], shared: bool = True) -> list[Row]:
+def group_classes(records: Sequence[OperationRecord]) -> list[Row]:
     """Partition complete operations into their only possible classes, each
     in a row with its span.
 
-    Pops returning the same push id form one class; with shared=False every
-    pop is alone in its class.  Raises StructuralRefutation when no stack
-    execution could have produced the records, naming the first of these
-    faults: a result of the wrong shape (in record order), a duplicate push
-    id, a popped id that was never pushed or a popped value disagreeing
-    with its push (in record order), same-id pops that do not pairwise
-    overlap.  One pass checks the shapes and indexes the pushes, keeping
-    the first duplicate until every shape has passed; a second builds the
-    rows: pushes and empty pops in record order, then pop classes by key.
-    A singleton's span is its own interval; a group's runs from its
-    earliest to its latest member invocation, and ends at its earliest
-    member response.
+    Pops returning the same push id form one class, for both checks.
+    Raises StructuralRefutation when no stack execution could have produced
+    the records, naming the first of these faults: a result of the wrong
+    shape (in record order), a duplicate push id, a popped id that was
+    never pushed or a popped value disagreeing with its push (in record
+    order), same-id pops that do not pairwise overlap.  One pass checks the
+    shapes and indexes the pushes, keeping the first duplicate until every
+    shape has passed; a second builds the rows: pushes and empty pops in
+    record order, then pop classes by push id.  A singleton's span is its
+    own interval; a group's runs from its earliest to its latest member
+    invocation, and ends at its earliest member response.
     """
     if any(r.responded_at is None for r in records):
         raise ValueError("grouping expects pending operations to be dropped first")
@@ -161,8 +160,7 @@ def group_classes(records: Sequence[OperationRecord], shared: bool = True) -> li
                     f"op {record.op_id} popped {returned} but op {push.op_id} "
                     f"pushed {push.argument}"
                 )
-            key = returned.push_id if shared else record.op_id
-            shared_pops.setdefault(key, []).append(record)
+            shared_pops.setdefault(returned.push_id, []).append(record)
             continue
         rows.append((record.invoked_at, record.invoked_at, record.responded_at, cls))
 
@@ -337,7 +335,14 @@ def _check(history: History, shared: bool, max_ops: int) -> Verdict:
             refutation=f"{len(records)} complete operations exceed the cap of {max_ops}",
         )
     try:
-        rows = group_classes(records, shared)
+        rows = group_classes(records)
+        if not shared:
+            for *_, (_, op_ids, element) in rows:
+                if len(op_ids) > 1:
+                    raise StructuralRefutation(
+                        f"ops {op_ids[0]} and {op_ids[1]} both popped id #{element.push_id}; "
+                        "a plain stack returns each element once"
+                    )
     except StructuralRefutation as exc:
         return Verdict(CheckOutcome.REJECTED, refutation=str(exc))
 
@@ -355,8 +360,8 @@ def check_set_linearizable(history: History, max_ops: int = DEFAULT_MAX_OPS) -> 
 
 
 def check_linearizable(history: History, max_ops: int = DEFAULT_MAX_OPS) -> Verdict:
-    """The classical condition: like check_set_linearizable but with every
-    operation alone in its class, so no return sharing is allowed."""
+    """The classical condition: like check_set_linearizable, but a class of
+    two or more pops is refuted, so no return sharing is allowed."""
     return _check(history, shared=False, max_ops=max_ops)
 
 

@@ -144,11 +144,31 @@ def random_simulated_history(rng: random.Random, max_ops: int = 8) -> History:
             if len(ops) >= max_ops:
                 break
             ops.append((thread, next(pushes) if rng.random() < 0.55 else None))
+    return uniformly_scheduled(rng, ops)
+
+
+def uniformly_scheduled(rng: random.Random, ops) -> History:
+    """Plan ops (as `plan` takes them) and run them through `Run.take`,
+    giving each slot to a thread drawn from `enabled()` until none is left."""
     run = Run(plan((), ops))
     events: list[Event] = []
     while enabled := run.enabled():
         run.take(rng.choice(enabled), events)
     return History(tuple(events))
+
+
+def seeded_simulated_history(seed: int, threads: int = 8, ops_per_thread: int = 250) -> History:
+    """A large deterministic multi-thread history: every thread runs
+    ops_per_thread operations, each a push or a pop at even odds, under a
+    uniform schedule; one seed gives one history on every host."""
+    rng = random.Random(seed)
+    pushes = itertools.count(1)  # the k-th push pushes k
+    ops = [
+        (thread, next(pushes) if rng.random() < 0.5 else None)
+        for thread in range(1, threads + 1)
+        for _ in range(ops_per_thread)
+    ]
+    return uniformly_scheduled(rng, ops)
 
 
 def perturbed_history(rng: random.Random, history: History) -> History:

@@ -1,4 +1,4 @@
-"""The seven release gates, one test per gate.
+"""The release gates, one test per gate.
 
 Each test prints a single visible verdict line (ACCEPTANCE n PASS/FAIL)
 so the run log shows the scorecard even when everything is green.  The
@@ -8,16 +8,21 @@ expensive sweeps run once per module and feed several gates.
 from __future__ import annotations
 
 import random
+import re
 import time
+from collections import Counter
 
 import pytest
 
+from multistack import checker
 from multistack.checker import (
     CheckOutcome,
     check_linearizable,
     check_set_linearizable,
 )
+from multistack.elements import Element
 from multistack.harness import RunConfig, run_stress
+from multistack.history import OpName, complete_operations
 from multistack.simulator import (
     Run,
     Scenario,
@@ -53,6 +58,7 @@ def exploration():
     started = time.perf_counter()
     sweeps = [sweep_family(*family) for family in FAMILIES]
     return {
+        "sweeps": dict(zip(FAMILIES, sweeps)),
         "total": sum(s.runs for s in sweeps),
         "accepted": sum(s.accepted for s in sweeps),
         "per_family": {family: s.runs for family, s in zip(FAMILIES, sweeps)},
@@ -289,3 +295,51 @@ def test_acceptance_7_deletion_monotone_chain_acyclic(capsys, exploration, stres
     assert exploration["total"] > 0
     assert stress_sweep["guard_violations"] == 0
     assert stress_sweep["conservation"] == []
+
+
+def test_acceptance_8_strict_check_refuses_8_thread_shared_returns(capsys, monkeypatch):
+    # The strict half of the 8-thread gate: seeded simulated 8 × 250 runs
+    # share returns, and plain linearizability refuses each one by its
+    # shared class alone, never entering the search.
+    from support import seeded_simulated_history
+
+    def no_search(rows):
+        raise AssertionError("the strict check searched a history with a shared return")
+
+    monkeypatch.setattr(checker, "_search", no_search)
+    refusal = re.compile(
+        r"ops \d+ and \d+ both popped id #\d+; a plain stack returns each element once"
+    )
+    seeds = list(range(5))
+    shared = pops = 0
+    refused = []  # seeds whose run shares a return and is refused for it
+    for seed in seeds:
+        history = seeded_simulated_history(seed)
+        records = complete_operations(history)
+        popped = [r for r in records if r.name is OpName.POP]
+        returned = Counter(r.result.push_id for r in popped if isinstance(r.result, Element))
+        shared_here = sum(count > 1 for count in returned.values())
+        verdict = check_linearizable(history, max_ops=len(records))
+        if shared_here and refusal.fullmatch(verdict.refutation or ""):
+            refused.append(seed)
+        shared += shared_here
+        pops += len(popped)
+    emit(
+        capsys,
+        8,
+        refused == seeds,
+        f"{len(refused)}/{len(seeds)} seeded simulated 8 × 250 runs share returns and are "
+        f"refused by the strict checker without a search "
+        f"({1000 * shared / pops:.0f} shared ids per 1,000 pops)",
+    )
+    assert refused == seeds
+
+
+def test_exploration_counts_per_family(exploration):
+    # Runs, shared-return runs, those the strict check rejects, and
+    # distinct INV/RES histories, per family.
+    counts = {
+        family: (s.runs, s.shared, s.shared_lin_rejected, s.distinct_histories)
+        for family, s in exploration["sweeps"].items()
+    }
+    assert counts == {(2, 2): (82536, 1308, 1308, 714), (3, 1): (60750, 108, 108, 288)}

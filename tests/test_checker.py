@@ -23,11 +23,14 @@ from multistack.checker import (
 from multistack.harness import RunConfig, run_stress
 from multistack.elements import EMPTY, Element
 from multistack.history import (
+    EventKind,
     History,
     complete_operations,
+    history_shares_return,
     operations,
     read_history,
 )
+from multistack.simulator import explore, plan
 from multistack.spec_machine import ClassKind, ConcurrencyClass, apply_class, replay
 from naive_oracle import (
     linearizable_by_enumeration,
@@ -366,9 +369,7 @@ def test_a_pop_open_across_thousands_of_operations_shares_a_return():
     assert verdict.accepted
     assert verdict.witness[4001].op_ids == (1, 4003)
     assert check_linearizable(history, max_ops=8001).refutation == (
-        "no precedence-respecting order of the 8001 classes replays as a stack "
-        "(best attempt placed 8000 of 8001; then: pop[1]->v:0#2001 applied to "
-        "the empty state)"
+        "ops 1 and 4003 both popped id #2001; a plain stack returns each element once"
     )
 
 
@@ -381,6 +382,27 @@ def test_lin_rejects_what_grouping_saves():
     history = triple_shared_pop_history()
     assert check_set_linearizable(history).accepted
     assert check_linearizable(history).outcome is CheckOutcome.REJECTED
+
+
+def test_lin_refuses_the_first_shared_class_without_a_search(monkeypatch):
+    # Two shared classes.  Grouping lists pop classes by push id, so the
+    # later pair, which popped id #1, is the one named.
+    script = [("inv", 1, 1, "push", E17), ("res", 1, 1, True)]
+    script += [("inv", 1, 2, "push", E11), ("res", 1, 2, True)]
+    script += [("inv", 1, 3, "pop"), ("inv", 2, 4, "pop"), ("res", 1, 3, E11), ("res", 2, 4, E11)]
+    script += [("inv", 1, 5, "pop"), ("inv", 2, 6, "pop"), ("res", 2, 6, E17), ("res", 1, 5, E17)]
+    history = build_history(script)
+    assert check_set_linearizable(history).accepted
+
+    def no_search(rows):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(checker, "_search", no_search)
+    verdict = check_linearizable(history)
+    assert verdict.outcome is CheckOutcome.REJECTED
+    assert verdict.refutation == (
+        "ops 5 and 6 both popped id #1; a plain stack returns each element once"
+    )
 
 
 def test_lin_accepts_sequential_runs():
@@ -402,6 +424,41 @@ def test_lin_accepted_implies_setlin_accepted():
             checked += 1
             assert check_set_linearizable(history).accepted
     assert checked > 20  # the generator really does produce accepted runs
+
+
+def test_lin_is_setlin_without_a_shared_return():
+    # Without a shared return every class is a singleton, so both checks
+    # search the same rows; with one, the strict check refuses.
+    rng = random.Random(2027)
+    for _ in range(2000):
+        history = random_history(rng)
+        strict, relaxed = check_linearizable(history), check_set_linearizable(history)
+        assert strict.accepted == (relaxed.accepted and not history_shares_return(history))
+        if strict.accepted:
+            assert strict.witness == relaxed.witness
+
+
+@pytest.mark.parametrize(
+    "memory, ops",
+    [
+        ([(1, False)], [(1, None), (2, None)]),
+        ([(1, False), (2, False)], [(1, None), (2, None)]),
+        ([(1, False)], [(1, None), (2, None), (2, 3)]),
+    ],
+)
+def test_the_oracle_confirms_every_explored_shared_return(memory, ops):
+    # Every schedule of two threads over seeded memory: the brute-force
+    # oracle refuses each distinct history with a shared return as a plain
+    # stack and accepts it as a set-linearizable one.
+    histories = {
+        tuple(e for e in run.history.events if e.kind is not EventKind.STEP)
+        for run in explore(plan(memory, ops))
+    }
+    shared = [History(events) for events in histories if history_shares_return(History(events))]
+    assert shared
+    for history in shared:
+        assert not linearizable_by_enumeration(history)
+        assert set_linearizable_by_enumeration(history)
 
 
 def test_both_modes_reject_a_reused_push_id():

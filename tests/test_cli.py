@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import sys
 import threading
@@ -710,6 +711,25 @@ def test_explore_prints_at_most_five_rejected_schedules(monkeypatch, capsys):
     assert lines[0].startswith("threads=1 ops_per_thread=5 ")
     assert len(lines) == 6
     assert all(line.startswith("REJECTED schedule (") for line in lines[1:])
+
+
+# sha256 of each command's stdout followed by "exit <code>\n".
+GOLDEN_SHA256 = {
+    "explore --threads 2 --ops 1 -v": (
+        "7f03c65861c4a0a58f5449341811b779f42d771a165149b5cd0df38a22770080"
+    ),
+    "replay shared_pop": "84a3d6d138e4db6f785e231af0df7ffd397f487606bb0c25400887a0154d5741",
+    "replay helped_pop": "7f76bcd15876d8a12743b6c1b7107bb3a99d3c9e382bc056bfc0df91846d6eb1",
+    "replay push_race": "c23bc0dcb707e6b367b7215b348430c5e7060df6ae4c7624dee48ec735a1f467",
+    "replay push_helps": "d21111cb54b6f86c63764b770c62a7dc0b8e559f37860fea5815a1ff7ffa6523",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_SHA256)
+def test_output_matches_its_golden_digest(command, capsys):
+    code = main(command.split())
+    output = f"{capsys.readouterr().out}exit {code}\n"
+    assert hashlib.sha256(output.encode()).hexdigest() == GOLDEN_SHA256[command]
 
 
 # ---------------------------------------------------------------------------
