@@ -29,17 +29,21 @@ reads), 21 (the flag write) and 6/10/22/25 (top compare-and-sets); line 17
 is a private test of the register loaded at 16 (PRIVATE_LINES).  top.get()
 is notation: the code reads the cell's value slot, with no call.
 
-The algorithm is written twice here, since the live path measured slower
-draining generators, and tests/test_differential.py pins the two texts to
-each other.  RelaxedStack.push/pop are the fast path the threads run;
-unchecked, their one Python-level callee is compare_and_set.  An
-instrumented run calls its trace just after each labelled line's action,
-and since another thread can act in between, trace calls need not come
-in the order the actions took effect.  push_steps/pop_steps are the same
-loops as generators, which the simulator steps: each yields a label just
-before the line's action, so a paused generator sits at the line its
-thread runs next.  A slot resumes one for one shared action, running on
-through private lines, so a fresh operation takes the slots
+The algorithm is written twice here: the live path keeps each operation
+one loop, since it measured slower draining generators and a transition
+per line costs a call per line, and tests/test_differential.py pins the
+two texts to each other.  RelaxedStack.push/pop are the fast path the
+threads run; unchecked, their one Python-level callee is compare_and_set.
+An instrumented run calls its trace just after each labelled line's
+action, and since another thread can act in between, trace calls need
+not come in the order the actions took effect.  push_step/pop_step are
+the same loops cut into one transition per numbered line, which the
+simulator steps: given a line and the register t, each runs that line's
+action and returns the next line and t, or DONE and the operation's
+result.  A paused operation is thus plain data, its next line and its
+register, and a simulated run can be copied instead of replayed.  A slot
+runs one shared action and on through private lines, so a fresh
+operation takes the slots
 
     push:  [inv, 3] -> [4] -> [6, res] with retries via [10] or a failed [6]
     pop:   [inv, 16, 17, res-empty]  or  [inv, 16, 17] -> [20] -> [21]
@@ -49,7 +53,7 @@ through private lines, so a fresh operation takes the slots
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .elements import EMPTY, Element, _Empty, _new
 
@@ -278,36 +282,34 @@ class RelaxedStack:
 # -- the algorithm as steps ----------------------------------------------------
 
 
-def push_steps(top: AtomicReference, node) -> Generator[int, None, bool]:
-    """push(node.element), yielding each line's label before its action."""
-    while True:
-        yield 3
-        t = top.value
-        yield 4
-        if t is None or not t.elim:
-            yield 6
-            node.next = t  # private until the swing publishes it: one slot
-            if top.compare_and_set(t, node):
-                return True
-        else:
-            yield 10
-            top.compare_and_set(t, t.next)
+DONE = None  # the next line of an operation that has returned
 
 
-def pop_steps(top: AtomicReference) -> Generator[int, None, Union[Element, _Empty]]:
-    """pop(), yielding each line's label before its action."""
-    while True:
-        yield 16
-        t = top.value
-        yield 17
-        if t is None:
-            return EMPTY
-        yield 20
-        if not t.elim:
-            yield 21
-            t.elim = True
-            yield 22
-            top.compare_and_set(t, t.next)
-            return t.element
-        yield 25
-        top.compare_and_set(t, t.next)
+def push_step(top: AtomicReference, node, line: int, t) -> tuple:
+    """Run line of push(node.element) on register t: (next line, t), or
+    (DONE, True) once the node is on top."""
+    if line == 3:
+        return 4, top.value
+    if line == 4:
+        return (6 if t is None or not t.elim else 10), t
+    if line == 6:
+        node.next = t  # private until the swing publishes it: one slot
+        return (DONE, True) if top.compare_and_set(t, node) else (3, t)
+    top.compare_and_set(t, t.next)  # line 10
+    return 3, t
+
+
+def pop_step(top: AtomicReference, node, line: int, t) -> tuple:
+    """Run line of pop() on register t: (next line, t), or (DONE, the
+    popped element or EMPTY).  A pop makes no node; node is None."""
+    if line == 16:
+        return 17, top.value
+    if line == 17:
+        return (DONE, EMPTY) if t is None else (20, t)
+    if line == 20:
+        return (25 if t.elim else 21), t
+    if line == 21:
+        t.elim = True
+        return 22, t
+    top.compare_and_set(t, t.next)  # line 22 or 25
+    return (DONE, t.element) if line == 22 else (16, t)

@@ -1,24 +1,25 @@
 """Deterministic runs of the relaxed stack under chosen schedules.
 
-The simulator steps the stack's own algorithm text, the push_steps and
-pop_steps generators of relaxed_stack, over the memory of a checked
-RelaxedStack.  One scheduled slot resumes a thread for exactly one
+The simulator steps the stack's own algorithm text, the per-line
+transitions push_step and pop_step of relaxed_stack, over the memory of a
+checked RelaxedStack.  One scheduled slot resumes a thread for exactly one
 shared-memory action plus the private work around it: an invocation
 fuses into its operation's first action, a return into its last, and a
 private line into the action before it (relaxed_stack lists the slots of
 each operation).  Shared actions are never fused with each other, so
 every interleaving of shared actions is a reachable schedule.
 
-A run's whole state is its Run: the schedule taken so far, its memory and
-one generator per busy thread.  Run.key() is the configuration it stands
-in, free of the schedule that reached it.  Generators cannot be copied,
-so a run branches the way stateless model checkers do (CHESS, Musuvathi
-et al., OSDI 2008): a branch rebuilds the memory and replays its schedule
-from the root.  The replayed prefix is checked again but emits no
-events; the explorer copies the prefix's events into each run it yields.
-A schedule, replayed twice, yields byte-identical histories.  A run holds
-no reference cycle, so reference counting frees it, its memory and its
-generators as soon as the last reference to it drops.
+A run's whole state is its Run: the schedule taken so far, its memory and,
+per busy thread, the operation's next line and its registers, all plain
+data.  Run.key() is the configuration it stands in, free of the schedule
+that reached it.  So a run branches the way stateful model checkers do
+(SPIN, Holzmann, IEEE TSE 1997): Run.fork copies it, memory included,
+and the copy goes on from where the original stands, with no prefix
+replayed.  Run(scenario, schedule) still replays an external schedule
+from the root, checked slot by slot but with no events.  A schedule,
+replayed or reached by forks, yields byte-identical histories.  A run
+holds no reference cycle, so reference counting frees it and its memory
+as soon as the last reference to it drops.
 
 Histories produced here open with a provenance prologue: a sequential run
 (process 0) that builds the initial memory, pushing each seeded element
@@ -42,7 +43,6 @@ distinct history of invocations and responses judged once.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 from .checker import check_linearizable, check_set_linearizable
 from .elements import EMPTY, Element, _Empty
 from .history import Event, EventKind, History, OpName, Payload, history_shares_return
-from .relaxed_stack import PRIVATE_LINES, RelaxedStack, pop_steps, push_steps
+from .relaxed_stack import DONE, PRIVATE_LINES, RelaxedStack, _GuardedNode, pop_step, push_step
 
 
 class ScheduleError(Exception):
@@ -107,21 +107,26 @@ class Scenario:
     expect_memory: Optional[tuple[tuple[int, bool], ...]] = None
 
 
+_UNSET = object()  # register t before the operation's first top load
+
+
 class _Thread:
-    __slots__ = ("program", "op_index", "steps", "line", "returns")
+    __slots__ = ("program", "op_index", "returns", "step", "line", "t", "node")
 
     def __init__(self, program: tuple[PlannedOp, ...]) -> None:
         self.program = program
         self.op_index = 0
         self.returns: list[Payload] = []  # finished operations' results
-        self.steps = None  # the current operation's generator; None when idle
-        self.line: Optional[int] = None
+        self.step = None  # the current operation's push_step or pop_step; None when idle
+        self.line: Optional[int] = None  # the line it runs next
+        self.t = _UNSET  # its register: the top it loaded last
+        self.node = None  # a push's node, made when the push starts
 
 
 class Run:
     """One run in flight: a checked stack seeded with the scenario's
-    initial memory and one generator per busy thread.  The given schedule
-    (1-based) is replayed first through take, with no events."""
+    initial memory, and its threads.  The given schedule (1-based) is
+    replayed first through take, with no events."""
 
     def __init__(self, scenario: Scenario, schedule: Sequence[int] = ()) -> None:
         self.stack = RelaxedStack(checked=True)
@@ -147,7 +152,7 @@ class Run:
         return [
             i
             for i, thread in enumerate(self.threads)
-            if thread.steps is not None or thread.op_index < len(thread.program)
+            if thread.step is not None or thread.op_index < len(thread.program)
         ]
 
     def take(self, thread: int, events: Optional[list[Event]] = None) -> None:
@@ -156,36 +161,36 @@ class Run:
         if not 0 <= thread < len(self.threads):
             raise ScheduleError(f"no thread {thread + 1}")
         state = self.threads[thread]
-        if state.steps is None and state.op_index >= len(state.program):
+        if state.step is None and state.op_index >= len(state.program):
             raise ScheduleError(f"thread {thread + 1} has no operations left")
         op = state.program[state.op_index]
         process = thread + 1
-        if state.steps is None:
+        if state.step is None:
             if events is not None:
                 events.append(Event(process, op.op_id, EventKind.INVOCATION, op.name, op.element))
             if op.name is OpName.PUSH:
                 # One node per push, made up front; retries relink it.
-                state.steps = push_steps(self._top, self._new_node(op.element))
+                state.step, state.line, state.node = push_step, 3, self._new_node(op.element)
             else:
-                state.steps = pop_steps(self._top)
-            state.line = next(state.steps)
-        line = state.line
-        before = self._top.value
-        try:
-            while True:
-                if events is not None:
-                    events.append(Event(process, op.op_id, EventKind.STEP, op.name, line))
-                line = next(state.steps)
-                if line not in PRIVATE_LINES:
-                    break
-        except StopIteration as done:
+                state.step, state.line = pop_step, 16
+        step, line, t, node = state.step, state.line, state.t, state.node
+        top = self._top
+        before = top.value
+        while True:
             if events is not None:
-                events.append(Event(process, op.op_id, EventKind.RESPONSE, op.name, done.value))
-            state.returns.append(done.value)
+                events.append(Event(process, op.op_id, EventKind.STEP, op.name, line))
+            line, t = step(top, node, line, t)
+            if line not in PRIVATE_LINES:
+                break
+        if line is DONE:
+            if events is not None:
+                events.append(Event(process, op.op_id, EventKind.RESPONSE, op.name, t))
+            state.returns.append(t)
             state.op_index += 1
-            state.steps = state.line = None
+            state.step = state.line = state.node = None
+            state.t = _UNSET
         else:
-            state.line = line
+            state.line, state.t = line, t
         self.schedule.append(process)
         self.stack._check_move(before)
         if self.stack._violations:
@@ -201,30 +206,51 @@ class Run:
         holds every node made as (element, element its next link points
         at, deletion flag); top is the top node's element.  threads holds,
         per thread, (line, op index, registers): line is the label the
-        thread executes next (None when idle) and registers are its
-        generator's locals as (name, element) pairs, None standing for the
-        empty marker.  Runs that reach one state by different schedules
-        share a key."""
+        thread executes next (None when idle) and registers are a push's
+        ("node", element) and, once the operation has loaded top, its
+        ("t", element) pair, None standing for the empty marker.  Runs that
+        reach one state by different schedules share a key."""
 
         def ref(node) -> Optional[Element]:
             return None if node is None else node.element
 
-        threads = tuple(
-            (
-                state.line,
-                state.op_index,
-                ()
-                if state.steps is None
-                else tuple(
-                    (name, ref(value))
-                    for name, value in inspect.getgeneratorlocals(state.steps).items()
-                    if value is not self._top  # the shared cell, not a register
-                ),
-            )
-            for state in self.threads
-        )
+        def registers(state: _Thread) -> tuple:
+            node = () if state.node is None else (("node", state.node.element),)
+            return node if state.t is _UNSET else node + (("t", ref(state.t)),)
+
+        threads = tuple((state.line, state.op_index, registers(state)) for state in self.threads)
         nodes = frozenset((node.element, ref(node.next), node.elim) for node in self.nodes)
         return nodes, ref(self._top.value), threads
+
+    def fork(self) -> Run:
+        """A copy of this run that goes on independently, made without
+        replaying: a fresh checked stack with a twin of every node, and
+        threads, returns and schedule of its own.  The node fields are
+        copied past the guarded setters, which would take a copied link
+        for a relink.  The copy's violation list starts empty: a slot that
+        recorded a violation has raised."""
+        twin = Run.__new__(Run)
+        twin.stack = RelaxedStack(checked=True)
+        twin._top = twin.stack._top
+        twin.nodes = []
+        remap = {None: None, _UNSET: _UNSET}  # this run's nodes to the twin's
+        for node in self.nodes:
+            copy = remap[node] = _GuardedNode.__new__(_GuardedNode)
+            copy.element, copy.published, copy._elim = node.element, node.published, node._elim
+            copy._violations = twin.stack._violations
+            twin.nodes.append(copy)
+        for node in self.nodes:
+            remap[node]._next = remap[node._next]
+        twin._top.compare_and_set(None, remap[self._top.value])
+        twin.threads = []
+        for state in self.threads:
+            copy = _Thread.__new__(_Thread)
+            copy.program, copy.op_index = state.program, state.op_index
+            copy.returns, copy.step, copy.line = state.returns.copy(), state.step, state.line
+            copy.t, copy.node = remap[state.t], remap[state.node]
+            twin.threads.append(copy)
+        twin.schedule = self.schedule.copy()
+        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +376,10 @@ def explore(scenario: Scenario, max_steps: int = 500) -> Iterator[ExploredRun]:
     """Depth-first enumeration of every schedule of the scenario, yielding
     one finished run per interleaving, in deterministic order (lowest
     thread index first at every branch).  The first branch at each point
-    carries the run on; each other one replays its prefix from the root."""
+    carries the run on; each other one goes on from a fork taken there."""
     events: list[Event] = prologue_events(scenario)
     run = Run(scenario)
-    branches: list[tuple[tuple[int, ...], int, int]] = []  # (prefix, events mark, thread)
+    branches: list[tuple[Run, int, int]] = []  # (fork, events mark, thread)
     while True:
         enabled = run.enabled()
         if enabled:
@@ -362,17 +388,16 @@ def explore(scenario: Scenario, max_steps: int = 500) -> Iterator[ExploredRun]:
                     f"run exceeded {max_steps} slots at schedule {tuple(run.schedule)}"
                 )
             if len(enabled) > 1:
-                prefix = tuple(run.schedule)
-                branches.extend((prefix, len(events), i) for i in reversed(enabled[1:]))
+                mark = len(events)
+                branches.extend((run.fork(), mark, i) for i in reversed(enabled[1:]))
             run.take(enabled[0], events)
             continue
         run.check_chain()
         yield ExploredRun(tuple(run.schedule), History(tuple(events)))
         if not branches:
             return
-        prefix, mark, thread = branches.pop()
+        run, mark, thread = branches.pop()
         del events[mark:]
-        run = Run(scenario, prefix)
         run.take(thread, events)
 
 
@@ -456,24 +481,25 @@ def reachable_configs(scenario: Scenario) -> Iterator[tuple[int, ...]]:
     the first run to reach it.  Runs always bottom out: flags only ever get
     set, nodes are only ever added, and a retry needs somebody else's
     successful swing, of which there are finitely many."""
-    yield from _walk_configs(scenario, Run(scenario), set())
+    yield from _walk_configs(Run(scenario), set())
 
 
-def _walk_configs(scenario: Scenario, run: Run, seen: set) -> Iterator[tuple[int, ...]]:
+def _walk_configs(run: Run, seen: set) -> Iterator[tuple[int, ...]]:
     """reachable_configs below run, depth first, skipping the keys in seen.
-    A module-level function: a nested generator that names itself holds
-    its own closure cell, a cycle that would keep seen alive until a
-    garbage collection."""
+    Every branch but the first goes on from a fork, taken before the first
+    one moves run on.  A module-level function: a nested generator that
+    names itself holds its own closure cell, a cycle that would keep seen
+    alive until a garbage collection."""
     key = run.key()
     if key in seen:
         return
     seen.add(key)
-    schedule = tuple(run.schedule)
-    yield schedule
-    for branch, thread in enumerate(run.enabled()):
-        child = Run(scenario, schedule) if branch else run
+    yield tuple(run.schedule)
+    enabled = run.enabled()
+    children = [run] + [run.fork() for _ in enabled[1:]]
+    for child, thread in zip(children, enabled):
         child.take(thread)
-        yield from _walk_configs(scenario, child, seen)
+        yield from _walk_configs(child, seen)
 
 
 # ---------------------------------------------------------------------------

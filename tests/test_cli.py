@@ -35,7 +35,7 @@ from multistack.history import (
     read_history,
     write_history,
 )
-from multistack.relaxed_stack import RelaxedStack
+from multistack.relaxed_stack import DONE, RelaxedStack, pop_step
 from multistack.simulator import all_program_mixes, load_bundled_fixture, replay_scenario
 from support import build_history, sequential_history
 
@@ -682,19 +682,15 @@ def test_explore_verbose_lists_mixes(capsys):
     assert "mix POP: 1 interleavings" in captured
 
 
-def pop_without_removing(top):
+def pop_without_removing(top, node, line, t):
     """A broken pop: returns the top element without flagging or swinging it."""
-    yield 16
-    t = top.value
-    yield 17
-    if t is None:
-        return EMPTY
-    yield 20
-    return t.element
+    if line == 20:
+        return DONE, t.element
+    return pop_step(top, node, line, t)
 
 
 def test_explore_reports_a_rejected_schedule(monkeypatch, capsys):
-    monkeypatch.setattr(simulator, "pop_steps", pop_without_removing)
+    monkeypatch.setattr(simulator, "pop_step", pop_without_removing)
     assert main(["explore", "--threads", "1", "--ops", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "setlin_rejected=1 " in lines[0]
@@ -705,7 +701,7 @@ def test_explore_reports_a_rejected_schedule(monkeypatch, capsys):
 
 
 def test_explore_prints_at_most_five_rejected_schedules(monkeypatch, capsys):
-    monkeypatch.setattr(simulator, "pop_steps", pop_without_removing)
+    monkeypatch.setattr(simulator, "pop_step", pop_without_removing)
     assert main(["explore", "--threads", "1", "--ops", "5"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("threads=1 ops_per_thread=5 ")

@@ -1,4 +1,4 @@
-"""The live fast path against the generator text the simulator steps.
+"""The live fast path against the per-line transitions the simulator steps.
 
 RelaxedStack.push/pop run on real threads, each parked in its trace hook
 after every shared action, and are released one thread per slot in the

@@ -37,6 +37,15 @@ def walk_configs():
         pass
 
 
+def fork_midway():
+    run = simulator.Run(simulator.load_bundled_fixture("shared_pop"), (1, 2))
+    fork = run.fork()
+    for twin, pick in ((run, 0), (fork, -1)):
+        while enabled := twin.enabled():
+            twin.take(enabled[pick])
+        twin.check_chain()
+
+
 def probe_stall():
     scenario = simulator.load_bundled_fixture("shared_pop")
     for stalled in range(len(scenario.programs)):
@@ -52,6 +61,7 @@ PATHS = {
     "sweep_family": sweep_2x1,
     "replay_scenario": replay_fixture,
     "reachable_configs": walk_configs,
+    "fork": fork_midway,
     "progress_probe": probe_stall,
     "run_stress-relaxed": stress("relaxed"),
     "run_stress-baseline": stress("baseline"),

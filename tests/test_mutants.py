@@ -1,8 +1,9 @@
 """Broken variants of the algorithm, and the small scenarios whose sweeps
 reject them.
 
-Each mutant is push_steps or pop_steps with one line broken, patched into
-the simulator for one test only, so the package carries no mutant option.
+Each mutant is push_step or pop_step with one line broken, every other
+line handed to the real one, patched into the simulator for one test
+only, so the package carries no mutant option.
 Each sweep is simulator.sweep over one small scenario: every interleaving
 explored and judged.  The real algorithm passes the same sweep, so a
 rejection is the mutant's doing.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 import multistack.simulator as simulator
-from multistack.elements import EMPTY
+from multistack.relaxed_stack import DONE, pop_step, push_step
 from multistack.simulator import ExplorationTruncated, Run, Scenario, SimulationInvariantError, plan
 
 
@@ -25,94 +26,45 @@ from multistack.simulator import ExplorationTruncated, Run, Scenario, Simulation
 # ---------------------------------------------------------------------------
 
 
-def pop_tas(top):
+def pop_tas(top, node, line, t):
     """pop with the flag read and write in one slot, a test-and-set: two
     pops can no longer both read the flag as False."""
-    while True:
-        yield 16
-        t = top.value
-        yield 17
-        if t is None:
-            return EMPTY
-        yield 20
-        if not t.elim:
-            t.elim = True
-            yield 22
-            top.compare_and_set(t, t.next)
-            return t.element
-        yield 25
-        top.compare_and_set(t, t.next)
+    if line == 20 and not t.elim:
+        t.elim = True
+        return 22, t
+    return pop_step(top, node, line, t)
 
 
-def push_nohelp(top, node):
+def push_nohelp(top, node, line, t):
     """push that does not swing the top past a deleted node (line 10)."""
-    while True:
-        yield 3
-        t = top.value
-        yield 4
-        if t is None or not t.elim:
-            yield 6
-            node.next = t
-            if top.compare_and_set(t, node):
-                return True
-        else:
-            yield 10
+    if line == 10:
+        return 3, t
+    return push_step(top, node, line, t)
 
 
-def pop_noflagcheck(top):
+def pop_noflagcheck(top, node, line, t):
     """pop that skips the flag read (line 20): it always flags the top it
-    loaded and returns its element, deleted or not."""
-    yield 16
-    t = top.value
-    yield 17
-    if t is None:
-        return EMPTY
-    yield 21
-    t.elim = True
-    yield 22
-    top.compare_and_set(t, t.next)
-    return t.element
+    loaded and returns its element, deleted or not: line 17 goes on to 21."""
+    line, t = pop_step(top, node, line, t)
+    return (21 if line == 20 else line), t
 
 
-def pop_relink(top):
+def pop_relink(top, node, line, t):
     """pop that clears the next link of the node it flags (after line 21),
     rewriting a published link: the swing at 22 then drops the rest."""
-    while True:
-        yield 16
-        t = top.value
-        yield 17
-        if t is None:
-            return EMPTY
-        yield 20
-        if not t.elim:
-            yield 21
-            t.elim = True
-            t.next = None
-            yield 22
-            top.compare_and_set(t, t.next)
-            return t.element
-        yield 25
-        top.compare_and_set(t, t.next)
+    step = pop_step(top, node, line, t)
+    if line == 21:
+        t.next = None
+    return step
 
 
-def pop_skip(top):
+def pop_skip(top, node, line, t):
     """pop whose swing at 22 moves the top two nodes down, past a node
     nobody deleted (to empty from the bottom node)."""
-    while True:
-        yield 16
-        t = top.value
-        yield 17
-        if t is None:
-            return EMPTY
-        yield 20
-        if not t.elim:
-            yield 21
-            t.elim = True
-            yield 22
-            top.compare_and_set(t, t.next and t.next.next)
-            return t.element
-        yield 25
-        top.compare_and_set(t, t.next)
+    if line == 22:
+        top.compare_and_set(t, t.next and t.next.next)
+        return DONE, t.element
+    return pop_step(top, node, line, t)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +105,7 @@ def test_two_pops_over_one_node_share_a_return():
 
 
 def test_pop_tas_never_shares_a_return(monkeypatch):
-    monkeypatch.setattr(simulator, "pop_steps", pop_tas)
+    monkeypatch.setattr(simulator, "pop_step", pop_tas)
     result = simulator.sweep([two_pops_over_one_node()])
     assert (result.runs, result.shared, result.rejected) == (26, 0, ())
 
@@ -164,7 +116,7 @@ def test_a_push_onto_a_deleted_top_helps_and_lands():
 
 
 def test_push_nohelp_never_lands_on_a_deleted_top(monkeypatch):
-    monkeypatch.setattr(simulator, "push_steps", push_nohelp)
+    monkeypatch.setattr(simulator, "push_step", push_nohelp)
     with pytest.raises(ExplorationTruncated):
         simulator.sweep([push_onto_a_deleted_top()])
 
@@ -175,7 +127,7 @@ def test_pops_around_a_push_and_pop_are_set_linearizable():
 
 
 def test_pop_noflagcheck_pops_one_element_twice_in_sequence(monkeypatch):
-    monkeypatch.setattr(simulator, "pop_steps", pop_noflagcheck)
+    monkeypatch.setattr(simulator, "pop_step", pop_noflagcheck)
     result = simulator.sweep([pops_around_a_push_and_pop()])
     assert (result.runs, len(result.rejected)) == (902, 33)
     refutations = [refutation for _, refutation in result.rejected]
@@ -189,7 +141,7 @@ def test_two_pops_over_two_nodes_keep_the_chain():
 
 @pytest.mark.parametrize("mutant", [pop_relink, pop_skip])
 def test_pop_breaking_the_chain_raises_at_its_slot(monkeypatch, mutant):
-    monkeypatch.setattr(simulator, "pop_steps", mutant)
+    monkeypatch.setattr(simulator, "pop_step", mutant)
     with pytest.raises(SimulationInvariantError):
         simulator.sweep([two_pops_over_two_nodes()])
     # Thread 1's first four slots break the chain either way; a replayed

@@ -1,4 +1,5 @@
-"""The package's top-level exports, and no unused imports in its modules."""
+"""The package's top-level exports, and no unused imports in its modules,
+its tests or its tools."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import multistack
 
 PACKAGE = Path(multistack.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+SCANNED = (PACKAGE, TESTS, TESTS.parent / "tools")
 
 
 def test_every_exported_name_resolves():
@@ -38,9 +41,12 @@ def unused_imports(path: Path) -> list[str]:
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used.update(ast.literal_eval(node.value))
-    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    where = f"{path.parent.name}/{path.name}"
+    return [f"{where}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    unused = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in unused_imports(path)]
+    paths = [path for folder in SCANNED for path in sorted(folder.glob("*.py"))]
+    assert len({path.parent for path in paths}) == len(SCANNED)  # no folder went missing
+    unused = [entry for path in paths for entry in unused_imports(path)]
     assert unused == []

@@ -3,6 +3,8 @@ exploration, the sweep, and the stall probe."""
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -36,7 +38,7 @@ from multistack.simulator import (
 )
 from multistack.spec_machine import ClassKind
 from support import seq_column
-from test_mutants import push_nohelp
+from test_mutants import pops_around_a_push_and_pop, push_nohelp
 
 
 def pop_only_scenario(threads: int, pops_each: int, memory=()) -> Scenario:
@@ -256,6 +258,93 @@ def test_explore_walks_each_finished_run_once(monkeypatch):
     runs = list(explore(pop_only_scenario(2, 1, memory=((1, False), (2, False)))))
     assert len(runs) > 1
     assert len(walks) == len(runs)
+
+
+# ---------------------------------------------------------------------------
+# Forked runs
+# ---------------------------------------------------------------------------
+
+
+def test_a_fork_and_its_original_go_on_apart():
+    scenario = plan([(1, False)], [(1, None), (2, 2)])
+    run = Run(scenario, (1,))  # thread 1 has loaded top
+    fork = run.fork()
+    assert fork.key() == run.key()
+    for _ in range(3):
+        run.take(0)  # thread 1 flags the top and swings past it
+        fork.take(1)  # thread 2 pushes onto the undeleted top
+    assert run.schedule == [1, 1, 1, 1] and fork.schedule == [1, 2, 2, 2]
+    assert [state.returns for state in run.threads] == [[Element(1, 1)], []]
+    assert [state.returns for state in fork.threads] == [[], [True]]
+    assert run.stack.memory_snapshot() == [] and links(run) == [(Element(1, 1), None, True)]
+    assert fork.stack.memory_snapshot() == [(Element(1, 1), False), (Element(2, 2), False)]
+    assert run.key() == Run(scenario, run.schedule).key()
+    assert fork.key() == Run(scenario, fork.schedule).key()
+
+
+def test_a_forked_run_has_the_key_of_its_replayed_schedule():
+    rng = random.Random(11)
+    for _ in range(100):
+        memory = [(value, rng.random() < 0.4) for value in range(rng.randint(0, 2))]
+        ops = [(thread, rng.choice((None, 9))) for thread in (1, 2, 2, 3)[: rng.randint(2, 4)]]
+        scenario = plan(memory, ops)
+        run = Run(scenario)
+        while (enabled := run.enabled()) and rng.random() < 0.9:
+            run.take(rng.choice(enabled))
+        prefix = tuple(run.schedule)
+        fork = run.fork()
+        while enabled := fork.enabled():
+            fork.take(rng.choice(enabled))
+        assert fork.key() == Run(scenario, fork.schedule).key()
+        assert run.key() == Run(scenario, prefix).key()  # the original stands still
+
+
+def test_a_relink_on_a_fork_lands_in_its_violations_only():
+    scenario = pop_only_scenario(1, 1, memory=((1, False), (2, False)))
+    run = Run(scenario)
+    fork = run.fork()
+    assert fork.stack.invariant_violations == []  # copied links are no relinks
+    fork.nodes[1].next = None  # corrupt the fork's memory between two slots
+    with pytest.raises(SimulationInvariantError, match="published v:2#2 relinked"):
+        fork.take(0)
+    assert run.stack.invariant_violations == []
+    run.take(0)
+
+
+def explored(scenarios):
+    """(scenario, run) for every run explore yields, in order."""
+    for scenario in scenarios:
+        for run in explore(scenario):
+            yield scenario, run
+
+
+def family(threads: int, ops_per_thread: int) -> list[Scenario]:
+    return [Scenario(programs=programs) for programs in all_program_mixes(threads, ops_per_thread)]
+
+
+def test_explore_output_is_pinned():
+    # Digests of what the explorer printed when each branch replayed its
+    # prefix from the root; forking it instead changes no byte.
+    def digest(scenarios) -> str:
+        text = "".join(f"{run.schedule}\n{dumps(run.history)}" for _, run in explored(scenarios))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest([pops_around_a_push_and_pop()]) == (
+        "f0067160c04a6d2f07ecb1259aac504a36713e1804a5ad68a59da545aaf11aab"
+    )
+    assert digest(family(2, 1)) == (
+        "17112d5ec545aa700f36e68a014eeb7454bd8600c70f87725c5fd1a60159f18d"
+    )
+
+
+def test_forked_runs_match_their_replayed_schedules():
+    picked = set(random.Random(11).sample(range(82_536), 200))  # of the 2x2 family's runs
+    runs = list(explored(family(2, 1)))
+    runs += [pair for index, pair in enumerate(explored(family(2, 2))) if index in picked]
+    assert len(runs) == 30 + 200
+    for scenario, run in runs:
+        replayed = replay_scenario(dataclasses.replace(scenario, schedule=run.schedule))
+        assert replayed.history == run.history, run.schedule
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +702,7 @@ def test_probe_reports_a_missed_budget(monkeypatch):
     scenario = plan([(1, True)], [(1, 2), (2, None)])
     assert progress_probe(scenario, (), stalled=1).steps_used == ((0, 6),)
     # A push that never swings past the deleted top spins through all 12.
-    monkeypatch.setattr(simulator, "push_steps", push_nohelp)
+    monkeypatch.setattr(simulator, "push_step", push_nohelp)
     report = progress_probe(scenario, (), stalled=1)
     assert report.steps_used == ((0, 12),) and report.failures == (0,)
     assert not report.all_completed
