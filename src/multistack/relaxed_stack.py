@@ -30,10 +30,10 @@ is a private test of the register loaded at 16 (PRIVATE_LINES).  top.get()
 is notation: the code reads the cell's value slot, with no call.
 
 The algorithm is written twice here: the live path keeps each operation
-one loop, since it measured slower draining generators and a transition
-per line costs a call per line, and tests/test_differential.py pins the
-two texts to each other.  RelaxedStack.push/pop are the fast path the
-threads run; unchecked, their one Python-level callee is compare_and_set.
+one loop, since a transition per line costs a call per line, and
+tests/test_differential.py pins the two texts to each other.
+RelaxedStack.push/pop are the fast path the threads run; unchecked,
+their one Python-level callee is compare_and_set.
 An instrumented run calls its trace just after each labelled line's
 action, and since another thread can act in between, trace calls need
 not come in the order the actions took effect.  push_step/pop_step are

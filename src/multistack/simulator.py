@@ -36,6 +36,10 @@ records: a deletion flag reset, a published link rewritten, or top moved
 by neither a swing nor a push.  Only the last two can close a cycle, so
 only explore and replay_scenario walk the chain, once at a run's end.
 
+uniform_run runs a scenario under a schedule drawn at random, and
+seeded_history draws a large run from one seed, the same bytes on every
+host: the one random draw of the tests and tools/bench_checker.py.
+
 sweep is the exhaustive check behind `multistack explore`, the acceptance
 gates and the mutant tests: every interleaving of each scenario, with each
 distinct history of invocations and responses judged once.
@@ -44,6 +48,7 @@ distinct history of invocations and responses judged once.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -301,7 +306,7 @@ def plan(memory: Iterable[tuple[int, bool]], ops: Iterable[tuple], **clauses) ->
 
 
 # ---------------------------------------------------------------------------
-# Scheduled replay
+# Scheduled replay and seeded draws
 # ---------------------------------------------------------------------------
 
 
@@ -360,6 +365,31 @@ def verify_expectations(scenario: Scenario, result: ScenarioResult) -> list[str]
                 f"memory: expected {scenario.expect_memory}, got {got_memory}"
             )
     return problems
+
+
+def uniform_run(scenario: Scenario, rng: random.Random) -> tuple[Run, History]:
+    """Run the scenario to its end, each slot going to a thread rng draws
+    from enabled() (random schedule sampling, Burckhardt et al., ASPLOS
+    2010); return the finished run and its history, prologue first."""
+    run = Run(scenario)
+    events = prologue_events(scenario)
+    while enabled := run.enabled():
+        run.take(rng.choice(enabled), events)
+    return run, History(tuple(events))
+
+
+def seeded_history(seed: int, threads: int = 8, ops_per_thread: int = 250) -> History:
+    """A large deterministic multi-thread history: every thread runs
+    ops_per_thread operations, each a push or a pop at even odds, under a
+    uniform schedule; one seed gives one history on every host."""
+    rng = random.Random(seed)
+    pushes = itertools.count(1)  # the k-th push pushes k
+    ops = [
+        (thread, next(pushes) if rng.random() < 0.5 else None)
+        for thread in range(1, threads + 1)
+        for _ in range(ops_per_thread)
+    ]
+    return uniform_run(plan((), ops), rng)[1]
 
 
 # ---------------------------------------------------------------------------

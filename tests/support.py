@@ -1,4 +1,4 @@
-"""Shared test helpers: compact history construction and random generators.
+"""Shared test helpers: compact history construction and random histories.
 
 Histories are built from scripts, lists of tuples:
 
@@ -18,7 +18,7 @@ import random
 
 from multistack.elements import EMPTY, Element
 from multistack.history import Event, EventKind, History, OpName, dumps
-from multistack.simulator import Run, plan
+from multistack.simulator import plan, uniform_run
 
 
 def seq_column(events) -> list[int]:
@@ -133,44 +133,6 @@ def random_synthetic_history(rng: random.Random, max_ops: int = 8) -> History:
     return build_history(script)
 
 
-def random_simulated_history(rng: random.Random, max_ops: int = 8) -> History:
-    """A history the relaxed stack really can produce: random small programs
-    driven through the deterministic interpreter under a random schedule."""
-    threads = rng.randint(1, 3)
-    ops = []
-    pushes = itertools.count(1)  # the k-th push pushes k
-    for thread in range(1, threads + 1):
-        for _ in range(rng.randint(1, max(1, max_ops // threads))):
-            if len(ops) >= max_ops:
-                break
-            ops.append((thread, next(pushes) if rng.random() < 0.55 else None))
-    return uniformly_scheduled(rng, ops)
-
-
-def uniformly_scheduled(rng: random.Random, ops) -> History:
-    """Plan ops (as `plan` takes them) and run them through `Run.take`,
-    giving each slot to a thread drawn from `enabled()` until none is left."""
-    run = Run(plan((), ops))
-    events: list[Event] = []
-    while enabled := run.enabled():
-        run.take(rng.choice(enabled), events)
-    return History(tuple(events))
-
-
-def seeded_simulated_history(seed: int, threads: int = 8, ops_per_thread: int = 250) -> History:
-    """A large deterministic multi-thread history: every thread runs
-    ops_per_thread operations, each a push or a pop at even odds, under a
-    uniform schedule; one seed gives one history on every host."""
-    rng = random.Random(seed)
-    pushes = itertools.count(1)  # the k-th push pushes k
-    ops = [
-        (thread, next(pushes) if rng.random() < 0.5 else None)
-        for thread in range(1, threads + 1)
-        for _ in range(ops_per_thread)
-    ]
-    return uniformly_scheduled(rng, ops)
-
-
 def perturbed_history(rng: random.Random, history: History) -> History:
     """Corrupt one pop response so near-miss histories get generated too."""
     events = list(history.events)
@@ -201,9 +163,18 @@ def perturbed_history(rng: random.Random, history: History) -> History:
 
 
 def random_history(rng: random.Random, max_ops: int = 8) -> History:
+    """A uniform run of a random 1-3 thread program (40%), one with a pop
+    result corrupted (20%), or a synthetic history."""
     roll = rng.random()
-    if roll < 0.4:
-        return random_simulated_history(rng, max_ops)
-    if roll < 0.6:
-        return perturbed_history(rng, random_simulated_history(rng, max_ops))
-    return random_synthetic_history(rng, max_ops)
+    if roll >= 0.6:
+        return random_synthetic_history(rng, max_ops)
+    threads = rng.randint(1, 3)
+    ops = []
+    pushes = itertools.count(1)  # the k-th push pushes k
+    for thread in range(1, threads + 1):
+        for _ in range(rng.randint(1, max(1, max_ops // threads))):
+            if len(ops) >= max_ops:
+                break
+            ops.append((thread, next(pushes) if rng.random() < 0.55 else None))
+    history = uniform_run(plan((), ops), rng)[1]
+    return history if roll < 0.4 else perturbed_history(rng, history)

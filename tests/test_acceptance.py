@@ -31,6 +31,7 @@ from multistack.simulator import (
     progress_probe,
     reachable_configs,
     replay_scenario,
+    seeded_history,
     sweep_family,
     verify_expectations,
 )
@@ -301,8 +302,6 @@ def test_acceptance_8_strict_check_refuses_8_thread_shared_returns(capsys, monke
     # The strict half of the 8-thread gate: seeded simulated 8 × 250 runs
     # share returns, and plain linearizability refuses each one by its
     # shared class alone, never entering the search.
-    from support import seeded_simulated_history
-
     def no_search(rows):
         raise AssertionError("the strict check searched a history with a shared return")
 
@@ -314,7 +313,7 @@ def test_acceptance_8_strict_check_refuses_8_thread_shared_returns(capsys, monke
     shared = pops = 0
     refused = []  # seeds whose run shares a return and is refused for it
     for seed in seeds:
-        history = seeded_simulated_history(seed)
+        history = seeded_history(seed)
         records = complete_operations(history)
         popped = [r for r in records if r.name is OpName.POP]
         returned = Counter(r.result.push_id for r in popped if isinstance(r.result, Element))

@@ -3,6 +3,7 @@ with the brute-force enumeration oracle."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import random
 import re
@@ -603,11 +604,16 @@ def test_witness_format(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_bench_checker_writes_a_decidable_long_open_pop_history(tmp_path):
+@pytest.fixture(scope="module")
+def bench_checker():
     path = Path(__file__).resolve().parent.parent / "tools" / "bench_checker.py"
     spec = importlib.util.spec_from_file_location("bench_checker", path)
-    bench_checker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_checker)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_checker_writes_a_decidable_long_open_pop_history(bench_checker, tmp_path):
     history_path = tmp_path / "long-open-pop.history"
     bench_checker.write_long_open_pop(history_path, 64)
     history = read_history(history_path)
@@ -615,3 +621,18 @@ def test_bench_checker_writes_a_decidable_long_open_pop_history(tmp_path):
     assert verdict.accepted
     assert [len(c.op_ids) for c in verdict.witness if len(c.op_ids) > 1] == [2]
     assert check_linearizable(history, max_ops=64).outcome is CheckOutcome.REJECTED
+
+
+def test_bench_checker_writes_the_same_simulated_rows_on_every_run(bench_checker, tmp_path):
+    digests = []
+    for ops in bench_checker.SIZES:
+        path = tmp_path / f"{ops}.history"
+        bench_checker.write_simulated(path, ops)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == [  # INV/RES text of seeded_history(1, 2, ops // 2), ops 256 to 16,384
+        "128e91ee40b5bbd4ddaca779ec581021843edc618ab0fdcdc3bdf3c34f345a58",
+        "b1ca71a5da3e2e1e61537f04c23261f7d6f708ce09e79398a72cdab9cd9cb994",
+        "a506683fbff6bca0c8c8f31c855c8a2efdd84aa2bbce1bd27bec0a41f7b85436",
+        "f3eda126ce7aab94b3112acd7badce97c2bd9da4781386bdcae31a819ce8bb3f",
+    ]
+    assert check_set_linearizable(read_history(tmp_path / "256.history"), max_ops=256).accepted

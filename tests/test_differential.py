@@ -14,7 +14,14 @@ import threading
 import pytest
 
 from multistack.history import EventKind, OpName
-from multistack.simulator import Run, Scenario, load_bundled_fixture, plan, replay_scenario
+from multistack.simulator import (
+    Run,
+    Scenario,
+    load_bundled_fixture,
+    plan,
+    replay_scenario,
+    uniform_run,
+)
 
 TIMEOUT = 5.0
 SCENARIOS = 400
@@ -78,15 +85,12 @@ def run_live(scenario: Scenario, schedule):
     )
 
 
-def simulated(run: Run, events) -> tuple:
+def simulated(run: Run, history) -> tuple:
     lines = [[] for _ in run.threads]
-    returns = [[] for _ in run.threads]
-    for event in events:
+    for event in history.events:
         if event.kind is EventKind.STEP:
             lines[event.process - 1].append(event.payload)
-        elif event.kind is EventKind.RESPONSE:
-            returns[event.process - 1].append(event.payload)
-    return lines, returns, run.stack.memory_snapshot()
+    return lines, [state.returns for state in run.threads], run.stack.memory_snapshot()
 
 
 def random_scenario(rng: random.Random) -> Scenario:
@@ -99,16 +103,13 @@ def random_scenario(rng: random.Random) -> Scenario:
     return plan(memory, ops)
 
 
-def test_fast_path_follows_the_generator_text_on_random_schedules():
+def test_fast_path_follows_the_step_text_on_random_schedules():
     rng = random.Random(20260518)
     for index in range(SCENARIOS):
         scenario = random_scenario(rng)
-        run = Run(scenario)
-        events = []
-        while enabled := run.enabled():
-            run.take(rng.choice(enabled), events)
+        run, history = uniform_run(scenario, rng)
         live = run_live(scenario, run.schedule)
-        assert live == simulated(run, events), (
+        assert live == simulated(run, history), (
             f"scenario {index}: {scenario}, schedule {tuple(run.schedule)}"
         )
 

@@ -36,10 +36,10 @@ from multistack.history import (
     write_history,
 )
 from multistack.relaxed_stack import RelaxedStack
+from multistack.simulator import seeded_history
 from support import (
     build_history,
     random_history,
-    random_simulated_history,
     seq_column,
     sequential_history,
 )
@@ -544,7 +544,7 @@ def test_loads_agrees_with_line_by_line_parsing_on_mutated_texts():
     histories = [
         run_stress(RunConfig(threads=2, ops_per_thread=6, seed=s)).history for s in range(20)
     ]
-    histories += [random_simulated_history(rng, 6) for _ in range(20)]  # STEP lines too
+    histories += [seeded_history(seed, 3, 2) for seed in range(20)]  # STEP lines too
     errors = 0
     for trial in range(5000):
         text = mutate(rng, dumps(histories[trial % len(histories)]))
@@ -555,11 +555,10 @@ def test_loads_agrees_with_line_by_line_parsing_on_mutated_texts():
 
 
 def test_dumps_is_format_event_per_line():
-    rng = random.Random(71)
     histories = [
         run_stress(RunConfig(threads=3, ops_per_thread=40, seed=s)).history for s in range(5)
     ]
-    histories += [random_simulated_history(rng, 8) for _ in range(200)]
+    histories += [seeded_history(seed, 3, 2) for seed in range(200)]
     histories.append(History(()))
     for history in histories:
         assert dumps(history) == "".join(

@@ -1,20 +1,33 @@
-"""The package's top-level exports, and no unused imports in its modules,
-its tests or its tools."""
+"""The package's top-level exports, the README's examples as written, and
+no unused imports in its modules, its tests or its tools."""
 
 import ast
 from pathlib import Path
 
 import multistack
+from multistack.cli import main
 
 PACKAGE = Path(multistack.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 SCANNED = (PACKAGE, TESTS, TESTS.parent / "tools")
+README = TESTS.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in multistack.__all__ if not hasattr(multistack, name)]
     assert missing == []
     assert len(set(multistack.__all__)) == len(multistack.__all__)
+
+
+def readme_block(opening: str) -> str:
+    """The README's text from the line after opening to the next fence."""
+    return README.read_text(encoding="utf-8").split(f"{opening}\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_examples_run_as_written(capsys):
+    exec(readme_block("```python"), {})  # the Library snippet
+    assert main(["explore", "--threads", "2", "--ops", "1", "-v"]) == 0
+    assert capsys.readouterr().out == readme_block("$ multistack explore --threads 2 --ops 1 -v")
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -33,8 +33,10 @@ from multistack.simulator import (
     prologue_events,
     reachable_configs,
     replay_scenario,
+    seeded_history,
     sweep,
     sweep_family,
+    uniform_run,
 )
 from multistack.spec_machine import ClassKind
 from support import seq_column
@@ -245,10 +247,9 @@ def count_walks(monkeypatch) -> list:
 def test_a_slot_walks_no_chain(monkeypatch):
     rng = random.Random(7)
     draw = [rng.randrange(1, 101) if rng.random() < 0.5 else None for _ in range(100)]
-    run = Run(plan([(1, False), (2, True)], [(i % 4 + 1, value) for i, value in enumerate(draw)]))
+    scenario = plan([(1, False), (2, True)], [(i % 4 + 1, value) for i, value in enumerate(draw)])
     walks = count_walks(monkeypatch)
-    while enabled := run.enabled():
-        run.take(rng.choice(enabled))
+    run, _ = uniform_run(scenario, rng)
     assert len(run.schedule) > 400 and walks == []
     assert len(run.stack.memory_snapshot()) > 1  # there was a chain to walk
 
@@ -288,14 +289,13 @@ def test_a_forked_run_has_the_key_of_its_replayed_schedule():
         memory = [(value, rng.random() < 0.4) for value in range(rng.randint(0, 2))]
         ops = [(thread, rng.choice((None, 9))) for thread in (1, 2, 2, 3)[: rng.randint(2, 4)]]
         scenario = plan(memory, ops)
-        run = Run(scenario)
-        while (enabled := run.enabled()) and rng.random() < 0.9:
-            run.take(rng.choice(enabled))
-        prefix = tuple(run.schedule)
+        schedule = tuple(uniform_run(scenario, rng)[0].schedule)
+        prefix = schedule[: rng.randint(0, len(schedule))]
+        run = Run(scenario, prefix)
         fork = run.fork()
-        while enabled := fork.enabled():
-            fork.take(rng.choice(enabled))
-        assert fork.key() == Run(scenario, fork.schedule).key()
+        for entry in schedule[len(prefix) :]:
+            fork.take(entry - 1)
+        assert fork.key() == Run(scenario, schedule).key()
         assert run.key() == Run(scenario, prefix).key()  # the original stands still
 
 
@@ -345,6 +345,24 @@ def test_forked_runs_match_their_replayed_schedules():
     for scenario, run in runs:
         replayed = replay_scenario(dataclasses.replace(scenario, schedule=run.schedule))
         assert replayed.history == run.history, run.schedule
+
+
+def test_a_seed_gives_the_same_history_bytes():
+    # The draws behind acceptance gate 8, seeds 0-4.
+    texts = [dumps(seeded_history(seed)) for seed in range(5)]
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [
+        "77151b9e9e07e5b393162c3ce6e049d5d4d8d73171d18bf33eca68eb22a984c7",
+        "c252a4749d93f868110231abc5f888b7e213ad31ba5a7723ec129356a1ed6904",
+        "50718cc4ed59a19bded3295f93501ea725068d61bfdde431f0cf5a6255a4c20d",
+        "eaa0a0104201dbc18008c82d6837093fb439574b4c7c3c01dc3ebd8a80a3c11f",
+        "d6050c6d4bdf9740bdf61b0922bc16c10d260762efaf5735768455d50d54190e",
+    ]
+
+
+def test_a_uniform_run_opens_with_the_prologue():
+    scenario = pop_only_scenario(2, 1, memory=((17, False), (11, True)))
+    run, history = uniform_run(scenario, random.Random(3))
+    assert list(history.events[:6]) == prologue_events(scenario) and not run.enabled()
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
     python tools/bench_checker.py --before <git rev> -o BENCH_checker.json
 
-Records one two-thread stress history per size (`multistack stress -t 2
---seed 1`, 256 to 16,384 operations) with the working tree, and writes two
-long-open-pop histories (4,096 and 16,384 operations): process 1 pushes,
-then invokes a pop that stays open while process 2 runs push/pop pairs,
-and returns the last pair's element, a shared return.  Those two are
-built, not recorded, so they are the same bytes on every run and their
-rows compare between output files; the recorded rows depend on that run's
-interleavings.  It then times `check_set_linearizable` on the files with
+Writes one simulated two-thread history per size (256 to 16,384
+operations): `simulator.seeded_history(1, 2, size // 2)`, a uniform random
+schedule drawn from seed 1, with its INV/RES events only, as `multistack
+stress` writes them.  It also writes two long-open-pop histories (4,096
+and 16,384 operations): process 1 pushes, then invokes a pop that stays
+open while process 2 runs push/pop pairs, and returns the last pair's
+element, a shared return.  Every history is built, not recorded, so each
+row checks the same bytes on every run and host, and rows compare between
+output files.  It then times `check_set_linearizable` on the files with
 the package of the working tree ("after") and with that of the given
 revision ("before", unpacked by `git archive`).  Every check runs in a
 fresh interpreter capped at 2 GiB of address space and 300 s, so a checker
@@ -76,6 +77,16 @@ def write_long_open_pop(path: Path, ops: int) -> None:
         emit(2, 2 * i + 4, res, pop, element)
     emit(1, 2, res, pop, element)
     write_history(History(tuple(events)), path)
+
+
+def write_simulated(path: Path, ops: int) -> None:
+    """Write the seeded two-thread simulated history of ops operations,
+    INV/RES events only (see above)."""
+    from multistack.history import EventKind, History, write_history
+    from multistack.simulator import seeded_history
+
+    events = seeded_history(1, 2, ops // 2).events
+    write_history(History(tuple(e for e in events if e.kind is not EventKind.STEP)), path)
 
 
 def check_in_this_process(src: str, path: str) -> None:
@@ -161,8 +172,6 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", required=True)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    from multistack.cli import main as multistack
-
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -171,18 +180,11 @@ def main(argv=None) -> int:
         )
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(work / "before", filter="data")
-        histories = []
-        for size in SIZES:
-            path = work / f"stress-{size}.history"
-            argv = ["stress", "-t", "2", "-n", str(size // 2), "--seed", "1", "-o", str(path)]
-            if multistack(argv) != 0:
-                raise SystemExit(f"stress run of {size} ops failed")
-            histories.append(("recorded stress", size, path))
-        for size in LONG_OPEN_POP_SIZES:
-            path = work / f"long-open-pop-{size}.history"
-            write_long_open_pop(path, size)
-            histories.append(("long open pop", size, path))
-        for kind, size, path in histories:
+        histories = [("simulated 2-thread", size, write_simulated) for size in SIZES]
+        histories += [("long open pop", size, write_long_open_pop) for size in LONG_OPEN_POP_SIZES]
+        for kind, size, write in histories:
+            path = work / f"{kind.replace(' ', '-')}-{size}.history"
+            write(path, size)
             row = {"history": kind, "ops": size}
             row.update(time_checks({"before": work / "before" / "src", "after": ROOT / "src"}, path))
             print(kind, size, row, flush=True)
@@ -193,11 +195,11 @@ def main(argv=None) -> int:
         f"{platform.machine()}, {len(os.sched_getaffinity(0))} CPUs",
         "before": args.before,
         "after": "working tree",
-        "what": "wall-clock seconds of check_set_linearizable on one history per row, "
-        "either a recorded two-thread stress history (new bytes on every run) or a "
-        "built long-open-pop history (the same bytes on every run), one fresh "
-        "interpreter per check, median and quartiles over rounds that alternate the "
-        "two trees, not corrected for the host's speed",
+        "what": "wall-clock seconds of check_set_linearizable on one built history per "
+        "row, a seeded simulated two-thread history or a long-open-pop history (the "
+        "same bytes on every run), one fresh interpreter per check, median and "
+        "quartiles over rounds that alternate the two trees, not corrected for the "
+        "host's speed",
         "results": results,
     }
     Path(args.output).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
