@@ -665,6 +665,16 @@ def test_replay_fixture_without_schedule(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_explore_summary(capsys):
+    code = main(["explore", "--threads", "2", "--ops", "1"])
+    captured = capsys.readouterr().out
+    assert code == 0
+    assert "mixes=4" in captured
+    assert "setlin_rejected=0" in captured
+    assert "shared_return=0" in captured  # one pop per thread cannot share
+    assert "distinct_histories=14\n" in captured
+
+
 def test_explore_verbose_lists_mixes(capsys):
     main(["explore", "--threads", "1", "--ops", "1", "-v"])
     captured = capsys.readouterr().out
@@ -701,6 +711,9 @@ def test_explore_prints_at_most_five_rejected_schedules(monkeypatch, capsys):
 
 # sha256 of each command's stdout followed by "exit <code>\n".
 GOLDEN_SHA256 = {
+    "explore --threads 2 --ops 1 -v": (
+        "7f03c65861c4a0a58f5449341811b779f42d771a165149b5cd0df38a22770080"
+    ),
     "replay shared_pop": "84a3d6d138e4db6f785e231af0df7ffd397f487606bb0c25400887a0154d5741",
     "replay helped_pop": "7f76bcd15876d8a12743b6c1b7107bb3a99d3c9e382bc056bfc0df91846d6eb1",
     "replay push_race": "c23bc0dcb707e6b367b7215b348430c5e7060df6ae4c7624dee48ec735a1f467",
