@@ -16,7 +16,8 @@ pairwise overlap, a popped id nobody pushed, or two pushes claiming one
 id.  Both checks build their classes there, so whatever the linearizable
 check accepts, the set-linearizable check accepts too.  Grouping reads
 the records twice: one pass checks every result's shape and indexes the
-pushes, the other builds each class together with its span.
+pushes, the other builds each class together with its span.  Classes and
+verdicts are built at C speed, with elements._new.
 
 The span is three integers per class, its first invocation, last
 invocation and first response, and it is all the search reads of the
@@ -44,7 +45,7 @@ from __future__ import annotations
 from enum import Enum, auto
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import EMPTY, Element, _Empty
+from .elements import EMPTY, Element, _Empty, _new
 from .history import (
     History,
     OperationRecord,
@@ -89,6 +90,9 @@ class Verdict(NamedTuple):
     @property
     def accepted(self) -> bool:
         return self.outcome is CheckOutcome.ACCEPTED
+
+
+_ACCEPTED, _REJECTED, _UNDECIDED = CheckOutcome
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +147,29 @@ def group_classes(records: Sequence[OperationRecord]) -> list[Row]:
     rows: list[Row] = []
     shared_pops: dict[int, list[OperationRecord]] = {}
     for record in records:
-        returned = record.result
-        if record.name is _PUSH_OP:
-            cls = ConcurrencyClass(_PUSH, (record.op_id,), record.argument)
+        op_id, _, name, argument, returned, invoked_at, responded_at = record
+        if name is _PUSH_OP:
+            cls = _new(ConcurrencyClass, (_PUSH, (op_id,), argument))
         elif returned is EMPTY:
-            cls = ConcurrencyClass(_POP_EMPTY, (record.op_id,), None)
+            cls = _new(ConcurrencyClass, (_POP_EMPTY, (op_id,), None))
         else:
             push = pushes_by_id.get(returned.push_id)
             if push is None:
                 raise StructuralRefutation(
-                    f"op {record.op_id} popped {returned} but no push produced "
-                    f"id #{returned.push_id}"
+                    f"op {op_id} popped {returned} but no push produced id #{returned.push_id}"
                 )
             if push.argument != returned:
                 raise StructuralRefutation(
-                    f"op {record.op_id} popped {returned} but op {push.op_id} "
-                    f"pushed {push.argument}"
+                    f"op {op_id} popped {returned} but op {push.op_id} pushed {push.argument}"
                 )
             shared_pops.setdefault(returned.push_id, []).append(record)
             continue
-        rows.append((record.invoked_at, record.invoked_at, record.responded_at, cls))
+        rows.append((invoked_at, invoked_at, responded_at, cls))
 
     for push_id, members in sorted(shared_pops.items()):
         first = members[0]
         if len(members) == 1:
-            cls = ConcurrencyClass(_POP_GROUP, (first.op_id,), first.result)
+            cls = _new(ConcurrencyClass, (_POP_GROUP, (first.op_id,), first.result))
             rows.append((first.invoked_at, first.invoked_at, first.responded_at, cls))
             continue
         for i, a in enumerate(members):
@@ -178,7 +180,7 @@ def group_classes(records: Sequence[OperationRecord]) -> list[Row]:
                         "but do not overlap in real time"
                     )
         invoked = [m.invoked_at for m in members]
-        cls = ConcurrencyClass(_POP_GROUP, tuple(m.op_id for m in members), first.result)
+        cls = _new(ConcurrencyClass, (_POP_GROUP, tuple(m.op_id for m in members), first.result))
         rows.append((min(invoked), max(invoked), min(m.responded_at for m in members), cls))
     return rows
 
@@ -253,20 +255,17 @@ def _search(rows: Sequence[Row]) -> tuple[Optional[tuple[ConcurrencyClass, ...]]
         state = key[0]
         for p in candidates:
             cls = ordered[p]
-            if cls.kind is ClassKind.PUSH:
-                pair = (state, cls.element.push_id)
+            kind, _, element = cls
+            if kind is _PUSH:
+                pair = (state, element.push_id)
                 next_state = interned.get(pair)
                 if next_state is None:
                     next_state = interned[pair] = len(below)
                     below.append(state)
-                    tops.append(cls.element)
-            elif cls.kind is ClassKind.POP_EMPTY and not state:
+                    tops.append(element)
+            elif kind is _POP_EMPTY and not state:
                 next_state = 0
-            elif (
-                cls.kind is ClassKind.POP_GROUP
-                and state
-                and tops[state].push_id == cls.element.push_id
-            ):
+            elif kind is _POP_GROUP and state and tops[state].push_id == element.push_id:
                 next_state = below[state]
             else:
                 blocks.append((state, cls))
@@ -330,9 +329,9 @@ def _verify_witness(
 def _check(history: History, shared: bool, max_ops: int) -> Verdict:
     records = complete_operations(history)
     if len(records) > max_ops:
-        return Verdict(
-            CheckOutcome.UNDECIDED,
-            refutation=f"{len(records)} complete operations exceed the cap of {max_ops}",
+        return _new(
+            Verdict,
+            (_UNDECIDED, None, f"{len(records)} complete operations exceed the cap of {max_ops}"),
         )
     try:
         rows = group_classes(records)
@@ -344,13 +343,13 @@ def _check(history: History, shared: bool, max_ops: int) -> Verdict:
                         "a plain stack returns each element once"
                     )
     except StructuralRefutation as exc:
-        return Verdict(CheckOutcome.REJECTED, refutation=str(exc))
+        return _new(Verdict, (_REJECTED, None, str(exc)))
 
     witness, refutation = _search(rows)
     if witness is None:
-        return Verdict(CheckOutcome.REJECTED, refutation=refutation)
+        return _new(Verdict, (_REJECTED, None, refutation))
     _verify_witness(witness, records)
-    return Verdict(CheckOutcome.ACCEPTED, witness=witness)
+    return _new(Verdict, (_ACCEPTED, witness, None))
 
 
 def check_set_linearizable(history: History, max_ops: int = DEFAULT_MAX_OPS) -> Verdict:

@@ -32,9 +32,11 @@ thread-safe?"), so the order of the appends is one global order of the
 events, and history() keeps that order.
 
 Events and operation records are named tuples: immutable, compared and
-hashed by their fields, and cheap to build.  A History pairs its events
-into operation records once, on first use, and keeps them: validating a
-parsed file and checking it share one pairing.  format_event and dumps
+hashed by their fields, and cheap to build.  Every path that builds them
+per run (the recorder, loads, the simulator and the pairing) does so with
+elements._new, at C speed.  A History pairs its events into operation
+records once, on first use, and keeps them: validating a parsed file and
+checking it share one pairing.  format_event and dumps
 take the KIND and NAME tokens from one table, and dumps formats each
 payload once.  loads parses each distinct payload token once, so a pop's
 result is its push's Element, and validates each combination of KIND
@@ -221,60 +223,65 @@ def _pair(events: tuple[Event, ...]) -> tuple[OperationRecord, ...]:
 
     Responses and steps must belong to the invoked-but-unresponded op of the
     same process and name its operation; anything else means the history is
-    not well formed.
+    not well formed.  One test lets a response or step through, and
+    _misplaced words the refusal when it fails.
     """
     records: list[Optional[OperationRecord]] = []  # a slot per invocation, in order
     invoked: set[int] = set()
     # process -> (slot, op id, name, argument, invoked at) of its pending op
     pending: dict[int, tuple[int, int, OpName, Payload, int]] = {}
     for seq, (process, op_id, kind, name, payload) in enumerate(events):
-        if kind is _INVOCATION:
-            if op_id in invoked:
-                raise IllFormedHistory(seq, f"op {op_id} invoked twice")
-            if process in pending:
-                raise IllFormedHistory(
-                    seq,
-                    f"process {process} invoked op {op_id} "
-                    f"while op {pending[process][1]} is pending",
+        if kind is not _INVOCATION:
+            entry = pending.get(process)
+            if entry is None or entry[1] != op_id or name is not entry[2]:
+                raise _misplaced(seq, process, op_id, kind, name, entry)
+            if kind is _RESPONSE:
+                del pending[process]
+                slot, _, _, argument, invoked_at = entry
+                records[slot] = _new(
+                    OperationRecord, (op_id, process, name, argument, payload, invoked_at, seq)
                 )
-            if name is _PUSH:
-                if not isinstance(payload, Element):
-                    raise IllFormedHistory(
-                        seq, f"push invocation of op {op_id} lacks an element"
-                    )
-                argument = payload
-            else:
-                argument = None
-            invoked.add(op_id)
-            pending[process] = (len(records), op_id, name, argument, seq)
-            records.append(None)
             continue
-        entry = pending.get(process)
-        is_response = kind is _RESPONSE
-        if entry is None or entry[1] != op_id:
-            if is_response:
-                message = (
-                    f"response for op {op_id} does not match the pending "
-                    f"operation of process {process}"
-                )
-            else:
-                message = f"step for op {op_id} outside its invocation interval"
-            raise IllFormedHistory(seq, message)
-        if name is not entry[2]:
+        if op_id in invoked:
+            raise IllFormedHistory(seq, f"op {op_id} invoked twice")
+        if process in pending:
             raise IllFormedHistory(
                 seq,
-                f"{'response' if is_response else 'step'} for op {op_id} names "
-                f"{name.value} but op {op_id} is a {entry[2].value}",
+                f"process {process} invoked op {op_id} "
+                f"while op {pending[process][1]} is pending",
             )
-        if is_response:
-            del pending[process]
-            slot, _, _, argument, invoked_at = entry
-            records[slot] = OperationRecord(
-                op_id, process, name, argument, payload, invoked_at, seq
-            )
+        if name is _PUSH:
+            if not isinstance(payload, Element):
+                raise IllFormedHistory(seq, f"push invocation of op {op_id} lacks an element")
+            argument = payload
+        else:
+            argument = None
+        invoked.add(op_id)
+        pending[process] = (len(records), op_id, name, argument, seq)
+        records.append(None)
     for process, (slot, op_id, name, argument, invoked_at) in pending.items():
-        records[slot] = OperationRecord(op_id, process, name, argument, None, invoked_at, None)
+        records[slot] = _new(
+            OperationRecord, (op_id, process, name, argument, None, invoked_at, None)
+        )
     return tuple(records)
+
+
+def _misplaced(
+    seq: int, process: int, op_id: int, kind: EventKind, name: OpName, entry: Optional[tuple]
+) -> IllFormedHistory:
+    """Why a response or step does not belong to entry, its process's
+    pending operation (None when nothing is pending): another op id is
+    named first, then another name."""
+    if entry is not None and entry[1] == op_id:
+        what = "response" if kind is _RESPONSE else "step"
+        message = f"{what} for op {op_id} names {name.value} but op {op_id} is a {entry[2].value}"
+    elif kind is _RESPONSE:
+        message = (
+            f"response for op {op_id} does not match the pending operation of process {process}"
+        )
+    else:
+        message = f"step for op {op_id} outside its invocation interval"
+    return IllFormedHistory(seq, message)
 
 
 def operations(history: History) -> list[OperationRecord]:
@@ -286,11 +293,11 @@ def operations(history: History) -> list[OperationRecord]:
 
 
 def complete_operations(history: History) -> list[OperationRecord]:
-    return [r for r in history._records if r.complete]
+    return [r for r in history._records if r.responded_at is not None]
 
 
 def pending_operations(history: History) -> list[OperationRecord]:
-    return [r for r in history._records if not r.complete]
+    return [r for r in history._records if r.responded_at is None]
 
 
 def precedes(a: OperationRecord, b: OperationRecord) -> bool:

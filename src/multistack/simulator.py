@@ -53,9 +53,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .checker import check_linearizable, check_set_linearizable
-from .elements import EMPTY, Element, _Empty
+from .elements import EMPTY, Element, _Empty, _new
 from .history import Event, EventKind, History, OpName, Payload, history_shares_return
 from .relaxed_stack import DONE, PRIVATE_LINES, RelaxedStack, _GuardedNode, pop_step, push_step
+
+# Module-level names: a global load is cheaper than an Enum class lookup.
+_INVOCATION, _RESPONSE, _STEP = EventKind.INVOCATION, EventKind.RESPONSE, EventKind.STEP
+_PUSH = OpName.PUSH
 
 
 class ScheduleError(Exception):
@@ -169,11 +173,11 @@ class Run:
         if state.step is None and state.op_index >= len(state.program):
             raise ScheduleError(f"thread {thread + 1} has no operations left")
         op = state.program[state.op_index]
-        process = thread + 1
+        process, op_id, name = thread + 1, op.op_id, op.name
         if state.step is None:
             if events is not None:
-                events.append(Event(process, op.op_id, EventKind.INVOCATION, op.name, op.element))
-            if op.name is OpName.PUSH:
+                events.append(_new(Event, (process, op_id, _INVOCATION, name, op.element)))
+            if name is _PUSH:
                 # One node per push, made up front; retries relink it.
                 state.step, state.line, state.node = push_step, 3, self._new_node(op.element)
             else:
@@ -183,13 +187,13 @@ class Run:
         before = top.value
         while True:
             if events is not None:
-                events.append(Event(process, op.op_id, EventKind.STEP, op.name, line))
+                events.append(_new(Event, (process, op_id, _STEP, name, line)))
             line, t = step(top, node, line, t)
             if line not in PRIVATE_LINES:
                 break
         if line is DONE:
             if events is not None:
-                events.append(Event(process, op.op_id, EventKind.RESPONSE, op.name, t))
+                events.append(_new(Event, (process, op_id, _RESPONSE, name, t)))
             state.returns.append(t)
             state.op_index += 1
             state.step = state.line = state.node = None
@@ -280,8 +284,8 @@ def prologue_events(scenario: Scenario) -> list[Event]:
     memory, one operation after another, numbered from 1."""
     events: list[Event] = []
     for op_id, (name, argument, result) in enumerate(_prologue_ops(scenario.initial_memory), 1):
-        events.append(Event(0, op_id, EventKind.INVOCATION, name, argument))
-        events.append(Event(0, op_id, EventKind.RESPONSE, name, result))
+        events.append(_new(Event, (0, op_id, _INVOCATION, name, argument)))
+        events.append(_new(Event, (0, op_id, _RESPONSE, name, result)))
     return events
 
 
@@ -423,7 +427,7 @@ def explore(scenario: Scenario, max_steps: int = 500) -> Iterator[ExploredRun]:
             run.take(enabled[0], events)
             continue
         run.check_chain()
-        yield ExploredRun(tuple(run.schedule), History(tuple(events)))
+        yield _new(ExploredRun, (tuple(run.schedule), History(tuple(events))))
         if not branches:
             return
         run, mark, thread = branches.pop()
@@ -478,7 +482,7 @@ def sweep(scenarios: Iterable[Scenario]) -> FamilySweep:
         runs = 0
         for run in explore(scenario):
             runs += 1
-            key = tuple(e for e in run.history.events if e.kind is not EventKind.STEP)
+            key = tuple(e for e in run.history.events if e.kind is not _STEP)
             if key not in verdicts:
                 history = History(key)
                 shares = history_shares_return(history)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from enum import Enum, auto
 from typing import NamedTuple, Optional, Sequence
 
-from .elements import Element
+from .elements import Element, _new
 
 SpecState = tuple[Element, ...]
 
@@ -131,4 +131,4 @@ def replay(classes: Sequence[ConcurrencyClass]) -> ReplayVerdict:
                 return ReplayVerdict(False, failed_index=index, reason=str(exc))
             stack = list(state)
             present = {e.push_id for e in state}
-    return ReplayVerdict(True, final_state=tuple(stack))
+    return _new(ReplayVerdict, (True, None, None, tuple(stack)))

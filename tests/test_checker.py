@@ -15,6 +15,7 @@ from multistack import checker
 from multistack.checker import (
     CheckOutcome,
     StructuralRefutation,
+    Verdict,
     check_linearizable,
     check_set_linearizable,
     format_witness,
@@ -24,15 +25,23 @@ from multistack.checker import (
 from multistack.harness import RunConfig, run_stress
 from multistack.elements import EMPTY, Element
 from multistack.history import (
+    Event,
     EventKind,
     History,
+    OperationRecord,
     complete_operations,
     history_shares_return,
     operations,
     read_history,
 )
 from multistack.simulator import explore, plan
-from multistack.spec_machine import ClassKind, ConcurrencyClass, apply_class, replay
+from multistack.spec_machine import (
+    ClassKind,
+    ConcurrencyClass,
+    ReplayVerdict,
+    apply_class,
+    replay,
+)
 from naive_oracle import (
     linearizable_by_enumeration,
     set_linearizable_by_enumeration,
@@ -581,6 +590,43 @@ def test_lin_agreement_with_enumeration_oracle():
         verdict = check_linearizable(history)
         assert verdict.outcome is not CheckOutcome.UNDECIDED
         assert verdict.accepted == linearizable_by_enumeration(history)
+
+
+def test_verdict_text_is_pinned_on_a_random_corpus():
+    # 400 draws at each size, each checked in both modes: every outcome,
+    # refutation and witness, in order, hashes to the digest below.
+    rng = random.Random(2026)
+    lines = []
+    for max_ops in (4, 8, 12, 40):
+        for _ in range(400):
+            history = random_history(rng, max_ops)
+            for check in (check_set_linearizable, check_linearizable):
+                verdict = check(history, max_ops=1 << 20)
+                witness = format_witness(verdict.witness) if verdict.witness else ""
+                lines.append(f"{verdict.outcome.name}|{verdict.refutation}|{witness}")
+    assert sum(line.startswith("ACCEPTED|") for line in lines) == 1939
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "ac84c633c09922565c314a136b9c805a420df248590533830e0eac19d6fba4d4"
+    )
+
+
+def test_a_judged_run_builds_no_tuple_through_python(monkeypatch):
+    # The per-run path builds its named tuples at C speed (elements._new),
+    # so none of these Python-level constructors runs while a 2x2 mix is
+    # explored and every run is judged.
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} built through its Python-level __new__")
+
+    for cls in (Event, OperationRecord, ConcurrencyClass, Verdict, ReplayVerdict):
+        monkeypatch.setattr(cls, "__new__", refuse)
+    runs = shared = 0
+    for run in explore(plan((), [(1, 1), (1, None), (2, None), (2, 2)])):
+        runs += 1
+        assert check_set_linearizable(run.history).accepted
+        if history_shares_return(run.history):
+            shared += 1
+            assert not check_linearizable(run.history).accepted
+    assert (runs, shared) == (2571, 126)
 
 
 # ---------------------------------------------------------------------------

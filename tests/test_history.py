@@ -459,6 +459,36 @@ def test_loads_reports_ill_formed_run_with_line():
         ("0 1 1 INV POP -\n1 1 1 RES POP -\n", 2, "'-'"),
         ("0 1 1 INV POP -\n1 1 2 INV POP -\n", 2, "process 1 invoked op 2 while op 1 is pending"),
         ("0 1 1 INV PUSH true\n", 1, "push invocation of op 1 lacks an element"),
+        ("0 1 1 INV POP -\n1 1 1 RES POP empty\n2 2 1 INV POP -\n", 3, "op 1 invoked twice"),
+        # A second invocation of an op is refused before its process's pending op.
+        ("0 1 1 INV POP -\n1 1 1 INV POP -\n", 2, "op 1 invoked twice"),
+        (
+            "0 1 1 INV POP -\n1 1 2 RES POP empty\n",
+            2,
+            "response for op 2 does not match the pending operation of process 1",
+        ),
+        (
+            "0 1 1 INV POP -\n1 1 1 RES POP empty\n2 1 2 RES POP empty\n",
+            3,
+            "response for op 2 does not match the pending operation of process 1",
+        ),
+        (
+            "0 1 1 INV POP -\n1 1 2 STEP POP L16\n",
+            2,
+            "step for op 2 outside its invocation interval",
+        ),
+        ("0 1 1 STEP POP L16\n", 1, "step for op 1 outside its invocation interval"),
+        # A wrong op is refused before a wrong name.
+        (
+            "0 1 1 INV POP -\n1 1 2 STEP PUSH L3\n",
+            2,
+            "step for op 2 outside its invocation interval",
+        ),
+        (
+            "0 1 1 INV POP -\n1 1 2 RES PUSH true\n",
+            2,
+            "response for op 2 does not match the pending operation of process 1",
+        ),
     ],
 )
 def test_loads_rejects_malformed_events_with_line(text, lineno, fragment):

@@ -19,9 +19,10 @@ outcome instead of a time, and an offset that lasts for one interpreter's
 life (its hash seed, where its memory landed) falls on one check only.
 The trees check each file in rounds, one check each per round, alternating
 which goes first, so a change in the host's speed falls on both trees
-alike.  Rounds continue until each tree has spent 3 s checking (at least 3
-rounds, at most 101), so short checks get many rounds; a check that fails
-or takes over 10 s ends the rounds.  Seconds are wall clock from the call
+alike.  Rounds continue until each tree has spent 3 s checking (at least 9
+rounds, so that even a row of over 1 s has quartiles that rest on 9
+checks per tree; at most 101), so short checks get many rounds; a check
+that fails or takes over 10 s ends the rounds.  Seconds are wall clock from the call
 to its outcome (a verdict or the error), not counting interpreter start-up
 or loading the file: the median and quartiles over the rounds, with the
 number of rounds the after tree was faster; `peak_rss_mb` is the largest
@@ -50,7 +51,7 @@ LONG_OPEN_POP_SIZES = (4096, 16384)
 LIMIT_BYTES = 2 << 30
 TIMEOUT_S = 300
 BUDGET_S = 3.0  # checking time per tree and size
-MIN_ROUNDS, MAX_ROUNDS = 3, 101
+MIN_ROUNDS, MAX_ROUNDS = 9, 101
 LONG_S = 10.0  # a check this slow is not repeated
 
 
