@@ -213,10 +213,6 @@ class OperationRecord(NamedTuple):
     invoked_at: int
     responded_at: Optional[int]
 
-    @property
-    def complete(self) -> bool:
-        return self.responded_at is not None
-
 
 def _pair(events: tuple[Event, ...]) -> tuple[OperationRecord, ...]:
     """Pair up invocations and responses in one pass, in invocation order.
@@ -294,10 +290,6 @@ def operations(history: History) -> list[OperationRecord]:
 
 def complete_operations(history: History) -> list[OperationRecord]:
     return [r for r in history._records if r.responded_at is not None]
-
-
-def pending_operations(history: History) -> list[OperationRecord]:
-    return [r for r in history._records if r.responded_at is None]
 
 
 def precedes(a: OperationRecord, b: OperationRecord) -> bool:

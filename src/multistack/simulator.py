@@ -33,22 +33,24 @@ two per deleted one) take the first op ids and the planned ones the rest.
 
 Every slot raises SimulationInvariantError on what the checked stack
 records: a deletion flag reset, a published link rewritten, or top moved
-by neither a swing nor a push.  Only the last two can close a cycle, so
-only explore and replay_scenario walk the chain, once at a run's end.
+by neither a swing nor a push.  Only the last two can close a cycle, so a
+chain is walked only at a run's end: once per end configuration on the walk.
 
 uniform_run runs a scenario under a schedule drawn at random, and
 seeded_history draws a large run from one seed, the same bytes on every
 host: the one random draw of the tests and tools/bench_checker.py.
 
 sweep is the exhaustive check behind `multistack explore`, the acceptance
-gates and the mutant tests: every interleaving of each scenario, with each
-distinct history of invocations and responses judged once.
+gates and the mutant tests: it counts every run of each scenario on the
+configuration walk that reachable_configs lists, and judges each distinct
+history of invocations and responses once.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -77,7 +79,8 @@ class SimulationInvariantError(AssertionError):
 
 
 class ExplorationTruncated(Exception):
-    """A run exceeded the step bound before all threads finished."""
+    """A run that never ends: it outran explore's step bound, or the
+    configuration walk met a configuration again on its own path."""
 
 
 # ---------------------------------------------------------------------------
@@ -466,23 +469,27 @@ class FamilySweep(NamedTuple):
 
 
 def sweep(scenarios: Iterable[Scenario]) -> FamilySweep:
-    """Explore every interleaving of each scenario and judge each run:
+    """Count every run of each scenario on its configuration walk and judge
+    each distinct sequence of a run's invocations and responses once:
     set-linearizable, with the checker capped at the scenario's operation
     count, the prologue's included (every run completes them all), and,
     when two pops return the same element, re-checked for plain
-    linearizability.  Each distinct sequence of a run's invocations and
-    responses is judged once, as a history of its own; every run is still
-    explored, checked slot by slot and counted."""
+    linearizability.  Only a scenario with a rejected history is explored
+    run by run, to list the rejected schedules."""
     verdicts: dict = {}  # INV/RES events -> (set-lin verdict, shares a return, lin rejects)
     mixes = []
     accepted = shared = shared_lin_rejected = 0
     rejected = []
     for scenario in scenarios:
         max_ops = len(_prologue_ops(scenario.initial_memory)) + sum(map(len, scenario.programs))
-        runs = 0
-        for run in explore(scenario):
-            runs += 1
-            key = tuple(e for e in run.history.events if e.kind is not _STEP)
+        prologue = tuple(prologue_events(scenario))
+        walk = _walk(scenario)
+        _, suffixes = next(walk)  # the root's, filled in once the walk ends
+        for _ in walk:
+            pass
+        runs, accepted_before = 0, accepted
+        for suffix, count in suffixes.items():
+            key = prologue + suffix
             if key not in verdicts:
                 history = History(key)
                 shares = history_shares_return(history)
@@ -492,12 +499,15 @@ def sweep(scenarios: Iterable[Scenario]) -> FamilySweep:
                     shares and not check_linearizable(history, max_ops=max_ops).accepted,
                 )
             verdict, shares, lin_rejected = verdicts[key]
-            if verdict.accepted:
-                accepted += 1
-            else:
-                rejected.append((run.schedule, verdict.refutation))
-            shared += shares
-            shared_lin_rejected += lin_rejected
+            runs += count
+            accepted += verdict.accepted * count
+            shared += shares * count
+            shared_lin_rejected += lin_rejected * count
+        if accepted - accepted_before < runs:
+            for run in explore(scenario):
+                verdict = verdicts[tuple(e for e in run.history.events if e.kind is not _STEP)][0]
+                if not verdict.accepted:
+                    rejected.append((run.schedule, verdict.refutation))
         mixes.append((scenario.programs, runs))
     return FamilySweep(
         tuple(mixes), accepted, shared, shared_lin_rejected, tuple(rejected), len(verdicts)
@@ -512,28 +522,50 @@ def sweep_family(threads: int, ops_per_thread: int) -> FamilySweep:
 
 def reachable_configs(scenario: Scenario) -> Iterator[tuple[int, ...]]:
     """For each distinct Run.key() any schedule can reach, the schedule of
-    the first run to reach it.  Runs always bottom out: flags only ever get
-    set, nodes are only ever added, and a retry needs somebody else's
-    successful swing, of which there are finitely many."""
-    yield from _walk_configs(Run(scenario), set())
+    the first run to reach it, in the order of _walk."""
+    return (schedule for schedule, _ in _walk(scenario))
 
 
-def _walk_configs(run: Run, seen: set) -> Iterator[tuple[int, ...]]:
-    """reachable_configs below run, depth first, skipping the keys in seen.
-    Every branch but the first goes on from a fork, taken before the first
-    one moves run on.  A module-level function: a nested generator that
-    names itself holds its own closure cell, a cycle that would keep seen
-    alive until a garbage collection."""
-    key = run.key()
-    if key in seen:
-        return
-    seen.add(key)
-    yield tuple(run.schedule)
-    enabled = run.enabled()
-    children = [run] + [run.fork() for _ in enabled[1:]]
-    for child, thread in zip(children, enabled):
-        child.take(thread)
-        yield from _walk_configs(child, seen)
+def _walk(scenario: Scenario) -> Iterator[tuple[tuple[int, ...], Counter]]:
+    """Depth first over the configurations the scenario can reach, lowest
+    thread first, each Run.key() expanded once, every branch but the last
+    from a fork.  On first reaching a key, yields the schedule that got
+    there and a Counter, filled by the walk's end, from each INV/RES suffix
+    of the runs from that key on to its number of schedules.  A run's
+    future depends only on its key, so each edge's slot is taken and
+    checked once, and each end configuration's chain walked once.  A key
+    met again on its own path is a run that never ends."""
+    done: dict = {}  # key -> its suffix counts; None while the walk below it is open
+    stack: list = []  # per open key: (run, key, threads left, suffix counts, INV/RES events in)
+    run, edge = Run(scenario), ()
+    while True:
+        key = run.key()
+        if key not in done:
+            suffixes = Counter()
+            yield tuple(run.schedule), suffixes
+            threads = run.enabled()
+            if not threads:
+                run.check_chain()
+                suffixes[()] = 1
+            done[key] = None
+            stack.append((run, key, threads[::-1], suffixes, edge))
+        elif done[key] is None:
+            raise ExplorationTruncated(f"a run cycles at schedule {tuple(run.schedule)}")
+        else:
+            stack[-1][3].update({edge + suffix: n for suffix, n in done[key].items()})
+        while not stack[-1][2]:
+            _, key, _, suffixes, edge = stack.pop()
+            done[key] = suffixes
+            if not stack:
+                return
+            stack[-1][3].update({edge + suffix: n for suffix, n in suffixes.items()})
+        run, _, threads, _, _ = stack[-1]
+        thread = threads.pop()
+        if threads:
+            run = run.fork()
+        events: list[Event] = []
+        run.take(thread, events)
+        edge = tuple(e for e in events if e.kind is not _STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -545,10 +577,6 @@ def _walk_configs(run: Run, seen: set) -> Iterator[tuple[int, ...]]:
 class ProbeReport:
     steps_used: tuple[tuple[int, int], ...]  # (thread, slots its op took)
     failures: tuple[int, ...]  # 0-based threads whose op missed the budget
-
-    @property
-    def all_completed(self) -> bool:
-        return not self.failures
 
 
 def progress_probe(scenario: Scenario, schedule: Sequence[int], stalled: int) -> ProbeReport:

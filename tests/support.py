@@ -1,4 +1,5 @@
-"""Shared test helpers: compact history construction and random histories.
+"""Shared test helpers: compact history construction, random histories and
+the enumerating sweep that the counting one is compared against.
 
 Histories are built from scripts, lists of tuples:
 
@@ -16,9 +17,10 @@ from __future__ import annotations
 import itertools
 import random
 
+from multistack.checker import check_linearizable, check_set_linearizable
 from multistack.elements import EMPTY, Element
-from multistack.history import Event, EventKind, History, OpName, dumps
-from multistack.simulator import plan, uniform_run
+from multistack.history import Event, EventKind, History, OpName, dumps, history_shares_return
+from multistack.simulator import FamilySweep, _prologue_ops, explore, plan, uniform_run
 
 
 def seq_column(events) -> list[int]:
@@ -178,3 +180,42 @@ def random_history(rng: random.Random, max_ops: int = 8) -> History:
             ops.append((thread, next(pushes) if rng.random() < 0.55 else None))
     history = uniform_run(plan((), ops), rng)[1]
     return history if roll < 0.4 else perturbed_history(rng, history)
+
+
+# ---------------------------------------------------------------------------
+# Enumerating sweep
+# ---------------------------------------------------------------------------
+
+
+def enumerated_sweep(scenarios) -> FamilySweep:
+    """simulator.sweep's result got the long way: every run explored and
+    counted one by one, each distinct INV/RES history judged once."""
+    verdicts: dict = {}  # INV/RES events -> (set-lin verdict, shares a return, lin rejects)
+    mixes = []
+    accepted = shared = shared_lin_rejected = 0
+    rejected = []
+    for scenario in scenarios:
+        max_ops = len(_prologue_ops(scenario.initial_memory)) + sum(map(len, scenario.programs))
+        runs = 0
+        for run in explore(scenario):
+            runs += 1
+            key = tuple(e for e in run.history.events if e.kind is not EventKind.STEP)
+            if key not in verdicts:
+                history = History(key)
+                shares = history_shares_return(history)
+                verdicts[key] = (
+                    check_set_linearizable(history, max_ops=max_ops),
+                    shares,
+                    shares and not check_linearizable(history, max_ops=max_ops).accepted,
+                )
+            verdict, shares, lin_rejected = verdicts[key]
+            if verdict.accepted:
+                accepted += 1
+            else:
+                rejected.append((run.schedule, verdict.refutation))
+            shared += shares
+            shared_lin_rejected += lin_rejected
+        mixes.append((scenario.programs, runs))
+    return FamilySweep(
+        tuple(mixes), accepted, shared, shared_lin_rejected, tuple(rejected), len(verdicts)
+    )

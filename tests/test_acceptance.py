@@ -28,10 +28,12 @@ from multistack.simulator import (
     Scenario,
     all_program_mixes,
     load_bundled_fixture,
+    plan,
     progress_probe,
     reachable_configs,
     replay_scenario,
     seeded_history,
+    sweep,
     sweep_family,
     verify_expectations,
 )
@@ -74,21 +76,25 @@ def exploration():
 def probe_sweep():
     """Freeze every enabled thread at every configuration any schedule of
     the two families can reach, and demand the other threads finish their
-    current operations inside the chain-derived budget."""
-    configs = probes = failures = 0
+    current operations inside the chain-derived budget.  Configurations
+    with no thread left to run are the families' end configurations."""
+    configs = ends = probes = failures = 0
     started = time.perf_counter()
     for threads, ops in FAMILIES:
         for programs in all_program_mixes(threads, ops):
             scenario = Scenario(programs=programs)
             for schedule in reachable_configs(scenario):
                 configs += 1
-                for stalled in Run(scenario, schedule).enabled():
+                enabled = Run(scenario, schedule).enabled()
+                ends += not enabled
+                for stalled in enabled:
                     probes += 1
                     report = progress_probe(scenario, schedule, stalled)
-                    if not report.all_completed:
+                    if report.failures:
                         failures += 1
     return {
         "configs": configs,
+        "ends": ends,
         "probes": probes,
         "failures": failures,
         "elapsed": time.perf_counter() - started,
@@ -273,12 +279,15 @@ def test_acceptance_6_progress_probe(capsys, probe_sweep):
     assert probe_sweep["failures"] == 0
 
 
-def test_acceptance_7_deletion_monotone_chain_acyclic(capsys, exploration, stress_sweep):
+def test_acceptance_7_deletion_monotone_chain_acyclic(
+    capsys, exploration, probe_sweep, stress_sweep
+):
     # The interpreter checks both invariants slot by slot, at the writes
-    # that can break them, walks each finished run's chain for a cycle, and
-    # raises on any violation, so the exploration fixture finishing at all
-    # means zero violations there; the live stacks carry guards plus a
-    # final cycle-checking walk, folded into guard_violations and
+    # that can break them, the sweep's walk takes each edge's slot once
+    # and walks each end configuration's chain once for a cycle, and any
+    # violation raises, so the exploration fixture finishing at all means
+    # zero violations on every run there; the live stacks carry guards
+    # plus a final cycle-checking walk, folded into guard_violations and
     # conservation above.
     ok = (
         exploration["total"] > 0
@@ -290,8 +299,8 @@ def test_acceptance_7_deletion_monotone_chain_acyclic(capsys, exploration, stres
         7,
         ok,
         f"no deletion-flag regression, no chain cycle across "
-        f"{exploration['total']} explored runs and {stress_sweep['runs']} "
-        f"threaded runs",
+        f"{exploration['total']} runs ({probe_sweep['ends']} end configurations, each walked once) "
+        f"and {stress_sweep['runs']} threaded runs",
     )
     assert exploration["total"] > 0
     assert stress_sweep["guard_violations"] == 0
@@ -332,6 +341,50 @@ def test_acceptance_8_strict_check_refuses_8_thread_shared_returns(capsys, monke
         f"({1000 * shared / pops:.0f} shared ids per 1,000 pops)",
     )
     assert refused == seeds
+
+
+def seeded_2x2_mixes():
+    """Each 2x2 push/pop mix planned over one undeleted seeded node; the
+    k-th push pushes k, as in all_program_mixes."""
+    for programs in all_program_mixes(2, 2):
+        ops = [
+            (thread, None if op.element is None else op.element.value)
+            for thread, program in enumerate(programs, 1)
+            for op in program
+        ]
+        yield plan([(100, False)], ops)
+
+
+def test_acceptance_9_exhaustive_set_linearizability_past_2x2(capsys):
+    # Counted on the configuration walk: 4x1 and 2x3 have far too many
+    # runs to enumerate one by one.
+    started = time.perf_counter()
+    sweeps = {
+        "4x1": sweep_family(4, 1),
+        "2x3": sweep_family(2, 3),
+        "seeded 2x2": sweep(seeded_2x2_mixes()),
+    }
+    elapsed = time.perf_counter() - started
+    counts = {
+        name: (s.runs, s.accepted, s.shared, s.shared_lin_rejected, s.distinct_histories)
+        for name, s in sweeps.items()
+    }
+    pinned = {
+        "4x1": (56_469_959_184, 56_469_959_184, 10_641_456, 10_641_456, 13_632),
+        "2x3": (456_283_038, 456_283_038, 6_084_894, 6_084_894, 41_494),
+        "seeded 2x2": (223_176, 223_176, 10_344, 10_344, 1_350),
+    }
+    rejected = [pair for s in sweeps.values() for pair in s.rejected]
+    families = ", ".join(f"{name}: {s.runs:,} ({s.shared:,} shared)" for name, s in sweeps.items())
+    emit(
+        capsys,
+        9,
+        counts == pinned and not rejected,
+        f"every run set-linearizable and every shared return refused by the strict "
+        f"checker, counted on the configuration walk ({families}) in {elapsed:.1f}s",
+    )
+    assert rejected == []
+    assert counts == pinned
 
 
 def test_exploration_counts_per_family(exploration):

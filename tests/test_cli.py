@@ -258,7 +258,7 @@ def test_stress_records_a_complete_history():
     result = run_stress(config)
     records = operations(result.history)
     assert len(records) == config.total_ops
-    assert all(r.complete for r in records)
+    assert all(r.responded_at is not None for r in records)
     # Steps are tallied for the retry/help counters, not stored.
     assert not any(e.kind is EventKind.STEP for e in result.history.events)
     assert result.step_counts
@@ -514,7 +514,7 @@ def test_check_decides_a_2048_op_stress_run(tmp_path, capsys):
         for line in witness.splitlines()
         for op in line.split(": ")[1].split(" -> ")[0].split(",")
     ]
-    complete = [r.op_id for r in operations(read_history(path)) if r.complete]
+    complete = [r.op_id for r in operations(read_history(path)) if r.responded_at is not None]
     assert len(complete) == 2048
     assert sorted(placed) == sorted(complete)
 

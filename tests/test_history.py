@@ -30,7 +30,6 @@ from multistack.history import (
     loads,
     operations,
     parse_event,
-    pending_operations,
     precedes,
     read_history,
     write_history,
@@ -135,7 +134,7 @@ def test_recorder_under_contention_stays_well_formed():
     assert len(history.events) == threads * ops_per_thread * 2
     records = operations(history)  # raises if anything is out of order
     assert len(records) == threads * ops_per_thread
-    assert all(r.complete for r in records)
+    assert all(r.responded_at is not None for r in records)
 
 
 def test_lock_free_recorder_on_real_threads():
@@ -234,9 +233,8 @@ def test_operations_pairs_invocations_and_responses():
     push, pop, dangling = records
     assert push.argument == E1 and push.result is True
     assert pop.result == E1
-    assert not dangling.complete and dangling.result is None
+    assert dangling.responded_at is None and dangling.result is None
     assert [r.op_id for r in complete_operations(history)] == [1, 2]
-    assert [r.op_id for r in pending_operations(history)] == [3]
 
 
 def test_loads_and_both_checks_pair_the_events_once(monkeypatch):

@@ -10,6 +10,10 @@ rejection is the mutant's doing.
 
 Three further mutants (no line-4 flag read, no line-22 swing, line 22
 before line 21) survive every sweep tried so far; ROADMAP.md tracks them.
+
+sweep counts runs on the configuration walk, taking each edge's slot once;
+the last tests hold it equal to the enumerating sweep of tests/support.py,
+here and on small families, broken or not.
 """
 
 from __future__ import annotations
@@ -18,7 +22,16 @@ import pytest
 
 import multistack.simulator as simulator
 from multistack.relaxed_stack import DONE, pop_step, push_step
-from multistack.simulator import ExplorationTruncated, Run, Scenario, SimulationInvariantError, plan
+from multistack.simulator import (
+    ExplorationTruncated,
+    Run,
+    Scenario,
+    SimulationInvariantError,
+    all_program_mixes,
+    plan,
+)
+from support import enumerated_sweep
+from test_cli import pop_without_removing
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +130,7 @@ def test_a_push_onto_a_deleted_top_helps_and_lands():
 
 def test_push_nohelp_never_lands_on_a_deleted_top(monkeypatch):
     monkeypatch.setattr(simulator, "push_step", push_nohelp)
-    with pytest.raises(ExplorationTruncated):
+    with pytest.raises(ExplorationTruncated, match=r"\(1, 1, 1, 1\)"):
         simulator.sweep([push_onto_a_deleted_top()])
 
 
@@ -148,3 +161,59 @@ def test_pop_breaking_the_chain_raises_at_its_slot(monkeypatch, mutant):
     # prefix is checked like newly taken slots.
     with pytest.raises(SimulationInvariantError):
         Run(two_pops_over_two_nodes(), (1, 1, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# The counting sweep equals the enumerating one
+# ---------------------------------------------------------------------------
+
+
+def sweep_outcome(sweep, scenarios):
+    """What sweep returns over the scenarios, or the type of what it raises."""
+    try:
+        return sweep(scenarios)
+    except (ExplorationTruncated, SimulationInvariantError) as error:
+        return type(error)
+
+
+MUTANTS = {
+    "real": ("pop_step", pop_step),
+    "pop_tas": ("pop_step", pop_tas),
+    "push_nohelp": ("push_step", push_nohelp),
+    "pop_noflagcheck": ("pop_step", pop_noflagcheck),
+    "pop_relink": ("pop_step", pop_relink),
+    "pop_skip": ("pop_step", pop_skip),
+}
+
+
+SCENARIOS = [
+    two_pops_over_one_node,
+    push_onto_a_deleted_top,
+    two_pops_over_two_nodes,
+    pops_around_a_push_and_pop,
+]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_counting_equals_enumerating_on_every_scenario(monkeypatch, mutant, scenario):
+    monkeypatch.setattr(simulator, *MUTANTS[mutant])
+    scenarios = [scenario()]
+    assert sweep_outcome(simulator.sweep, scenarios) == sweep_outcome(enumerated_sweep, scenarios)
+
+
+@pytest.mark.parametrize(
+    "family, pop",
+    [
+        ((2, 1), pop_step),
+        ((3, 1), pop_step),
+        ((1, 3), pop_without_removing),
+        ((1, 5), pop_without_removing),
+    ],
+)
+def test_counting_equals_enumerating_on_a_family(monkeypatch, family, pop):
+    monkeypatch.setattr(simulator, "pop_step", pop)
+    scenarios = [Scenario(programs=programs) for programs in all_program_mixes(*family)]
+    result = simulator.sweep(scenarios)
+    assert result == enumerated_sweep(scenarios)
+    assert bool(result.rejected) == (pop is pop_without_removing)

@@ -681,6 +681,25 @@ def test_sweep_judges_each_distinct_history_once(monkeypatch):
     assert result.accepted == 30
 
 
+def test_sweep_walks_the_chain_of_each_end_configuration_once(monkeypatch):
+    scenarios = [Scenario(programs=programs) for programs in all_program_mixes(2, 1)]
+    ends = [{Run(s, run.schedule).key() for run in explore(s)} for s in scenarios]
+    walked: list = []
+    monkeypatch.setattr(Run, "check_chain", lambda run: walked.append(run.key()))
+    for scenario, keys in zip(scenarios, ends):
+        walked.clear()
+        sweep([scenario])
+        assert len(walked) == len(keys) and set(walked) == keys
+
+
+def test_sweep_explores_no_run_when_nothing_is_rejected(monkeypatch):
+    def no_explore(scenario, max_steps=500):
+        raise AssertionError("sweep enumerated the runs of an accepted scenario")
+
+    monkeypatch.setattr(simulator, "explore", no_explore)
+    assert sweep_family(2, 1).rejected == ()
+
+
 def test_sweep_caps_the_checker_at_the_scenario_operation_count():
     # 16 seeded pushes and one planned pop: 17 operations, one over the
     # checker's default cap, so a cap of 16 or of the planned op alone
@@ -701,7 +720,7 @@ def test_probe_completes_around_a_thread_frozen_before_its_write():
     scenario = pop_only_scenario(2, 1, memory=((13, False),))
     schedule = (1, 1)  # thread 1 parked before line 21
     report = progress_probe(scenario, schedule, stalled=0)
-    assert report.all_completed
+    assert report.failures == ()
     assert report.steps_used == ((1, 4),)
 
 
@@ -709,7 +728,7 @@ def test_probe_completes_around_a_thread_frozen_after_its_write():
     scenario = pop_only_scenario(2, 1, memory=((13, False),))
     schedule = (1, 1, 1)  # flag set, swing not taken
     report = progress_probe(scenario, schedule, stalled=0)
-    assert report.all_completed
+    assert report.failures == ()
     # The other pop finds the flag set, helps, and reports empty.
     assert report.steps_used == ((1, 4),)
 
@@ -723,13 +742,12 @@ def test_probe_reports_a_missed_budget(monkeypatch):
     monkeypatch.setattr(simulator, "push_step", push_nohelp)
     report = progress_probe(scenario, (), stalled=1)
     assert report.steps_used == ((0, 12),) and report.failures == (0,)
-    assert not report.all_completed
 
 
 def test_probe_ignores_finished_threads():
     scenario = pop_only_scenario(2, 1)
     report = progress_probe(scenario, (2,), stalled=0)  # thread 2 already done
-    assert report.steps_used == () and report.all_completed
+    assert report.steps_used == () and report.failures == ()
 
 
 def test_probe_budget_counts_every_reachable_node():

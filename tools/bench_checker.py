@@ -9,10 +9,12 @@ stress` writes them.  It also writes two long-open-pop histories (4,096
 and 16,384 operations): process 1 pushes, then invokes a pop that stays
 open while process 2 runs push/pop pairs, and returns the last pair's
 element, a shared return.  Every history is built, not recorded, so each
-row checks the same bytes on every run and host, and rows compare between
-output files.  It then times `check_set_linearizable` on the files with
-the package of the working tree ("after") and with that of the given
-revision ("before", unpacked by `git archive`).  Every check runs in a
+row checks the same bytes on every run and host.  The seconds are not
+corrected for the host's speed, so they do not compare between output
+files: only the before/after ratio within one file does.  It then times
+`check_set_linearizable` on the files with the package of the working
+tree ("after") and with that of the given revision ("before", unpacked by
+`git archive`).  Every check runs in a
 fresh interpreter capped at 2 GiB of address space and 300 s, so a checker
 that recurses too deeply, runs out of memory or stalls records that
 outcome instead of a time, and an offset that lasts for one interpreter's
