@@ -31,8 +31,13 @@ interned states (hash-consing; Filliâtre & Conchon 2006): a stack is an
 id for its (stack below, push id on top) pair, so a transition costs O(1).
 Each frame takes its ready window from its parent's and is memoized, when
 dead, by (state, window), so a frame costs about the window's width.  A
-rejection words its deepest attempt's refusals by the model itself
-(apply_class on the rebuilt state).  Accepted verdicts carry the witness
+search rejection is worded from the history alone, not from the search:
+the classes replay in order of last invocation, and the model names the
+first one it refuses.  If a precedes b, a's last invocation comes before
+its first response, which comes before b's last invocation, so that order
+respects real time, and its replay succeeding would be a missed witness,
+raised as a checker bug.  A change to the search order changes no
+refutation.  Accepted verdicts carry the witness
 ordering, which is re-verified before being returned: one pass replays
 it through the model, and one pass from its back checks that it places
 every operation exactly once and respects real-time precedence.
@@ -43,6 +48,7 @@ undecided rather than silently truncated.
 from __future__ import annotations
 
 from enum import Enum, auto
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .elements import EMPTY, Element, _Empty, _new
@@ -54,13 +60,7 @@ from .history import (
     concurrent,
     format_payload,
 )
-from .spec_machine import (
-    ClassKind,
-    ConcurrencyClass,
-    TransitionError,
-    apply_class,
-    replay,
-)
+from .spec_machine import ClassKind, ConcurrencyClass, replay
 
 DEFAULT_MAX_OPS = 16
 
@@ -190,21 +190,22 @@ def group_classes(records: Sequence[OperationRecord]) -> list[Row]:
 # ---------------------------------------------------------------------------
 
 
-def _search(rows: Sequence[Row]) -> tuple[Optional[tuple[ConcurrencyClass, ...]], str]:
+def _search(rows: Sequence[Row]) -> Optional[tuple[ConcurrencyClass, ...]]:
     """Depth-first search for a precedence-respecting replayable order.
 
-    Returns (order, "") on success or (None, refutation) on exhaustion.
-    The ready window needs every class's last invocation to come before
-    its first response, and grouping's rows guarantee it: a singleton
-    responds after it is invoked, and intervals that overlap pairwise
-    share a point.  Model states are interned ids: 0 is the empty stack,
-    and each (state below, push id on top) pair gets one id, so equal
-    stacks share an id.  Search states are (state id, ready window); dead
-    ones are memoized so shared suffixes are refuted once.
+    Returns the order, or None on exhaustion; _check words a rejection
+    from the rows alone (_refutation).  The ready window needs every
+    class's last invocation to come before its first response, and
+    grouping's rows guarantee it: a singleton responds after it is
+    invoked, and intervals that overlap pairwise share a point.  Model
+    states are interned ids: 0 is the empty stack, and each (state below,
+    push id on top) pair gets one id, so equal stacks share an id.  Search
+    states are (state id, ready window); dead ones are memoized so shared
+    suffixes are refuted once.
     """
     n = len(rows)
     if n == 0:
-        return (), ""
+        return ()
     # Deterministic witnesses: try ready classes by earliest member invocation.
     # First invocations are distinct event positions, so no two rows tie
     # there and the sort never compares classes.
@@ -213,7 +214,6 @@ def _search(rows: Sequence[Row]) -> tuple[Optional[tuple[ConcurrencyClass, ...]]
     tops: list[Optional[Element]] = [None]  # state id -> element on top
     interned: dict[tuple[int, int], int] = {}  # (below, push id) -> state id
     dead: set[tuple[int, ...]] = set()
-    best_depth, best_blocks = -1, []
 
     def open_frame(state: int, window: list[int], end: int, p: Optional[int]) -> tuple:
         # The bound is the earliest first response among the remaining
@@ -225,37 +225,22 @@ def _search(rows: Sequence[Row]) -> tuple[Optional[tuple[ConcurrencyClass, ...]]
                 bound = first_res[end]
             end += 1
         ready = iter([q for q in window if last_inv[q] <= bound])
-        return (state, *window), end, p, ready, []
-
-    def refusal(state: int, cls: ConcurrencyClass) -> str:
-        """The model's own reason for refusing cls in the given state."""
-        stack = []
-        while state:
-            stack.append(tops[state])
-            state = below[state]
-        try:
-            apply_class(tuple(reversed(stack)), cls)
-        except TransitionError as exc:
-            return str(exc)
-        raise AssertionError(f"the model applies {cls.describe()}; the search refused it")
+        return (state, *window), end, p, ready
 
     # One frame per placed class and the root: ((state id, *window), end,
-    # the class placed to reach it, untried ready classes, (state id, class)
-    # per refusal, worded only on rejection: interned states are never
-    # dropped).  The window is the remaining classes invoked before the
-    # bound, in index order; end is the first class not yet scanned.  A
-    # class placed past the first remaining one was ready, so invoked before
-    # the bound of every remaining class: every class before end is placed
-    # or in the window, and (state, window) keys the dead memo as exactly as
-    # (remaining set, state).  Grouping rejects duplicate push ids, so a
-    # push is never refused.
+    # the class placed to reach it, untried ready classes).  The window is
+    # the remaining classes invoked before the bound, in index order; end
+    # is the first class not yet scanned.  A class placed past the first
+    # remaining one was ready, so invoked before the bound of every
+    # remaining class: every class before end is placed or in the window,
+    # and (state, window) keys the dead memo as exactly as (remaining set,
+    # state).  Grouping rejects duplicate push ids, so a push always applies.
     frames = [open_frame(0, [], 0, None)]
     while frames:
-        key, end, _, candidates, blocks = frames[-1]
+        key, end, _, candidates = frames[-1]
         state = key[0]
         for p in candidates:
-            cls = ordered[p]
-            kind, _, element = cls
+            kind, _, element = ordered[p]
             if kind is _PUSH:
                 pair = (state, element.push_id)
                 next_state = interned.get(pair)
@@ -268,10 +253,9 @@ def _search(rows: Sequence[Row]) -> tuple[Optional[tuple[ConcurrencyClass, ...]]
             elif kind is _POP_GROUP and state and tops[state].push_id == element.push_id:
                 next_state = below[state]
             else:
-                blocks.append((state, cls))
                 continue
             if len(frames) == n:
-                return tuple(ordered[frame[2]] for frame in frames[1:]) + (cls,), ""
+                return tuple(ordered[frame[2]] for frame in frames[1:]) + (ordered[p],)
             window = list(key[1:])
             window.remove(p)
             frame = open_frame(next_state, window, end, p)
@@ -279,16 +263,29 @@ def _search(rows: Sequence[Row]) -> tuple[Optional[tuple[ConcurrencyClass, ...]]
                 frames.append(frame)
                 break
         else:
-            if len(frames) > best_depth + 1:
-                best_depth, best_blocks = len(frames) - 1, blocks
             dead.add(key)
             frames.pop()
+    return None
 
-    detail = "; ".join(refusal(*block) for block in best_blocks[:3])
-    detail = detail or "no class is ready under the precedence order"
-    return None, (
+
+def _refutation(rows: Sequence[Row]) -> str:
+    """Word a search rejection from the history alone.
+
+    The classes are replayed in order of last invocation, and the model's
+    first refusal is named.  That order respects real time: if class a
+    precedes class b, last_inv[a] < first_res[a] < last_inv[b], and last
+    invocations are distinct event positions, so they never tie.  So when
+    the search finds no order, this one fails too; if it replays, it is a
+    witness the search missed, and a checker bug.
+    """
+    n = len(rows)
+    verdict = replay([row[3] for row in sorted(rows, key=itemgetter(1))])
+    if verdict.accepted:
+        raise AssertionError("the order of last invocation replays; the search missed it")
+    return (
         f"no precedence-respecting order of the {n} classes replays as a stack "
-        f"(best attempt placed {best_depth} of {n}; then: {detail})"
+        f"(in order of last invocation, placed {verdict.failed_index} of {n}; "
+        f"then: {verdict.reason})"
     )
 
 
@@ -345,9 +342,9 @@ def _check(history: History, shared: bool, max_ops: int) -> Verdict:
     except StructuralRefutation as exc:
         return _new(Verdict, (_REJECTED, None, str(exc)))
 
-    witness, refutation = _search(rows)
+    witness = _search(rows)
     if witness is None:
-        return _new(Verdict, (_REJECTED, None, refutation))
+        return _new(Verdict, (_REJECTED, None, _refutation(rows)))
     _verify_witness(witness, records)
     return _new(Verdict, (_ACCEPTED, witness, None))
 

@@ -191,7 +191,7 @@ def test_acceptance_2_exhaustive_set_linearizability(capsys, exploration):
         2,
         ok,
         f"{exploration['accepted']}/{exploration['total']} interleavings "
-        f"accepted ({counts}) in {exploration['elapsed']:.0f}s",
+        f"accepted ({counts}) in {exploration['elapsed']:.2f}s",
     )
     assert exploration["rejected"] == []
     assert exploration["accepted"] == exploration["total"] > 0

@@ -39,7 +39,6 @@ from multistack.spec_machine import (
     ClassKind,
     ConcurrencyClass,
     ReplayVerdict,
-    apply_class,
     replay,
 )
 from naive_oracle import (
@@ -303,13 +302,14 @@ def test_refused_transitions_are_worded_by_the_model(ops, blocker):
         assert verdict.outcome is CheckOutcome.REJECTED
         assert verdict.refutation == (
             f"no precedence-respecting order of the {len(ops)} classes replays as "
-            f"a stack (best attempt {blocker})"
+            f"a stack (in order of last invocation, {blocker})"
         )
 
 
-def test_refutation_words_every_refusal_of_the_first_deepest_attempt():
-    # The concurrent pushes reach depth 3 in two orders; the refusals are
-    # those of the first, (17, 11, 7), though the search ends in the other.
+def test_refutation_replays_the_classes_in_order_of_last_invocation():
+    # The concurrent pushes reach depth 3 in two orders, and the search
+    # tries both; the refutation replays only the order of last invocation,
+    # (17, 11, 7), whatever order the search tried first.
     history = build_history(
         [
             ("inv", 1, 1, "push", E17),
@@ -327,9 +327,45 @@ def test_refutation_words_every_refusal_of_the_first_deepest_attempt():
     for check in (check_set_linearizable, check_linearizable):
         assert check(history).refutation == (
             "no precedence-respecting order of the 5 classes replays as a stack "
-            "(best attempt placed 3 of 5; then: pop[4]->v:17#1 but the top of "
-            "(v:17#1, v:11#2, v:7#3) is v:7#3; empty-pop applied to a non-empty state)"
+            "(in order of last invocation, placed 3 of 5; then: pop[4]->v:17#1 but the "
+            "top of (v:17#1, v:11#2, v:7#3) is v:7#3)"
         )
+
+
+def test_a_shared_pop_invoked_early_is_placed_by_its_last_invocation():
+    # Pop 2 is invoked before push 3, and pop 4, which shares its return,
+    # after it.  By first invocation the class would go before push 3 and
+    # replay, though pop 4 is invoked after push 3 responds; by last
+    # invocation it goes after, and the model refuses it.
+    history = build_history(
+        [
+            ("inv", 1, 1, "push", E17),
+            ("res", 1, 1, True),
+            ("inv", 2, 2, "pop"),
+            ("inv", 1, 3, "push", E11),
+            ("res", 1, 3, True),
+            ("inv", 1, 4, "pop"),
+            ("res", 1, 4, E17),
+            ("res", 2, 2, E17),
+        ]
+    )
+    assert check_set_linearizable(history).refutation == (
+        "no precedence-respecting order of the 3 classes replays as a stack "
+        "(in order of last invocation, placed 2 of 3; then: pop[2,4]->v:17#1 but the "
+        "top of (v:17#1, v:11#2) is v:11#2)"
+    )
+    assert check_linearizable(history).refutation == (
+        "ops 2 and 4 both popped id #1; a plain stack returns each element once"
+    )
+
+
+def test_a_witness_the_search_missed_is_a_checker_bug(monkeypatch):
+    # The order of last invocation respects real time, so if it replays,
+    # the search missed a witness.
+    history = sequential_history(("push", 1, E17), ("pop", 2, E17))
+    monkeypatch.setattr(checker, "_search", lambda rows: None)
+    with pytest.raises(AssertionError, match="the search missed it"):
+        check_set_linearizable(history)
 
 
 def test_an_accepted_check_words_no_refusal(monkeypatch):
@@ -347,18 +383,15 @@ def test_an_accepted_check_words_no_refusal(monkeypatch):
             ("res", 1, 4, E11),
         ]
     )
-    worded = []
 
-    def counting_apply_class(state, cls):
-        worded.append(cls)
-        return apply_class(state, cls)
+    def refuse(rows):
+        raise AssertionError("an accepted check worded a refutation")
 
-    monkeypatch.setattr(checker, "apply_class", counting_apply_class)
+    monkeypatch.setattr(checker, "_refutation", refuse)
     for check in (check_set_linearizable, check_linearizable):
         verdict = check(history)
         assert verdict.accepted
         assert [cls.op_ids for cls in verdict.witness] == [(2,), (1,), (3,), (4,)]
-    assert worded == []
 
 
 def test_a_pop_open_across_thousands_of_operations_shares_a_return():
@@ -592,22 +625,56 @@ def test_lin_agreement_with_enumeration_oracle():
         assert verdict.accepted == linearizable_by_enumeration(history)
 
 
-def test_verdict_text_is_pinned_on_a_random_corpus():
-    # 400 draws at each size, each checked in both modes: every outcome,
-    # refutation and witness, in order, hashes to the digest below.
+def random_corpus():
+    """400 draws at each size, each checked in both modes: (history, check,
+    verdict) in order."""
     rng = random.Random(2026)
-    lines = []
     for max_ops in (4, 8, 12, 40):
         for _ in range(400):
             history = random_history(rng, max_ops)
             for check in (check_set_linearizable, check_linearizable):
-                verdict = check(history, max_ops=1 << 20)
-                witness = format_witness(verdict.witness) if verdict.witness else ""
-                lines.append(f"{verdict.outcome.name}|{verdict.refutation}|{witness}")
+                yield history, check, check(history, max_ops=1 << 20)
+
+
+def test_verdict_text_is_pinned_on_a_random_corpus():
+    # Every outcome, refutation and witness, in order, hashes to the first
+    # digest below; outcomes and witnesses alone hash to the second.
+    lines, decided = [], []
+    for _, _, verdict in random_corpus():
+        witness = format_witness(verdict.witness) if verdict.witness else ""
+        lines.append(f"{verdict.outcome.name}|{verdict.refutation}|{witness}")
+        decided.append(f"{verdict.outcome.name}|{witness}")
     assert sum(line.startswith("ACCEPTED|") for line in lines) == 1939
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "ac84c633c09922565c314a136b9c805a420df248590533830e0eac19d6fba4d4"
+        "4d65b4b06ff5b2e36e8ea37a87ec79aa6ba69045d1e6d8087cf416f3325dda0b"
     )
+    assert hashlib.sha256("\n".join(decided).encode()).hexdigest() == (
+        "2def30bcaee5c77bc558982e894c489a85eef9830406c6c4203bd8b151b19c0d"
+    )
+
+
+def test_every_search_rejection_of_the_corpus_replays_the_last_invocation_order():
+    # Derived without the search: grouping's rows sorted by last invocation,
+    # replayed through the model.  Every rejection after grouping is one.
+    searched = 0
+    for history, check, verdict in random_corpus():
+        try:
+            rows = group_classes(complete_operations(history))
+        except StructuralRefutation:
+            continue
+        if verdict.accepted or (
+            check is check_linearizable and any(len(row[3].op_ids) > 1 for row in rows)
+        ):
+            continue
+        replayed = replay([row[3] for row in sorted(rows, key=lambda row: row[1])])
+        assert not replayed.accepted
+        assert verdict.refutation == (
+            f"no precedence-respecting order of the {len(rows)} classes replays as a "
+            f"stack (in order of last invocation, placed {replayed.failed_index} of "
+            f"{len(rows)}; then: {replayed.reason})"
+        )
+        searched += 1
+    assert searched == 281
 
 
 def test_a_judged_run_builds_no_tuple_through_python(monkeypatch):

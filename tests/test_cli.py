@@ -468,6 +468,22 @@ def test_check_rejects_a_result_of_the_wrong_shape(
     assert capsys.readouterr().out == f"REJECTED: {refutation}\n"
 
 
+def test_check_prints_a_search_rejection_in_order_of_last_invocation(tmp_path, capsys):
+    path = tmp_path / "lifo.history"
+    write_history(
+        sequential_history(
+            ("push", 1, Element(17, 1)), ("push", 2, Element(11, 2)), ("pop", 3, Element(17, 1))
+        ),
+        path,
+    )
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "REJECTED: no precedence-respecting order of the 3 classes replays as a stack "
+        "(in order of last invocation, placed 2 of 3; then: pop[3]->v:17#1 but the top of "
+        "(v:17#1, v:11#2) is v:11#2)\n"
+    )
+
+
 def test_check_undecided_over_the_cap(tmp_path, capsys):
     path = tmp_path / "big.history"
     write_history(
